@@ -1,8 +1,7 @@
 """Wi-Fi CSI person re-identification toolkit.
 
 Pipeline: raw complex CSI -> amplitude/phase features -> sequence encoder
--> unit-norm signature -> cosine retrieval. Includes a seeded synthetic
-corpus generator so everything is verifiable without real captures.
+-> unit-norm signature -> cosine retrieval.
 """
 
 from csireid.csi_core import (

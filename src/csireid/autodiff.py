@@ -374,39 +374,6 @@ def l2_normalize_axis(a: DiffTensor, axis: int) -> DiffTensor:
     return out
 
 
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "concat": concat,
-    "slice": take_slice,
-    "transpose": transpose,
-    "reshape": reshape,
-    "mean_axis": mean_axis,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "rectifier": rectifier,
-    "exp": exp,
-    "log": log,
-    "softmax_axis": softmax_axis,
-    "layer_norm": layer_norm,
-    "dropout": dropout,
-    "l2_normalize_axis": l2_normalize_axis,
-}
-
-
-def primitive_forward(op: str, inputs, **params) -> DiffTensor:
-    """Dispatch a primitive by name; inputs is a DiffTensor or a list."""
-    if op not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive {op!r}")
-    fn = _PRIMITIVES[op]
-    if op == "concat":
-        return fn(list(inputs), **params)
-    if isinstance(inputs, DiffTensor):
-        return fn(inputs, **params)
-    return fn(*inputs, **params)
-
-
 def unstack_axis1(a: DiffTensor) -> list[DiffTensor]:
     """Split a (B, P, d) tensor into P tensors of shape (B, d).
 
@@ -591,7 +558,11 @@ CHECKPOINT_MAGIC = b"WFCK"
 
 def write_tensor_file(path, named: dict[str, np.ndarray]) -> None:
     """Serialize named arrays: magic, u32 count, then per tensor a u16-length
-    UTF-8 name, u8 rank, u32 dims, and f32 little-endian values."""
+    UTF-8 name, u8 rank, u32 dims, and f32 little-endian values.
+
+    Values that do not survive the f32 cast finitely are rejected before the
+    file is opened.
+    """
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", len(named))
@@ -606,13 +577,20 @@ def write_tensor_file(path, named: dict[str, np.ndarray]) -> None:
         blob += encoded
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        with np.errstate(over="ignore"):
+            values = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"tensor {name!r} not representable as finite f32")
+        blob += values.tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
 
 
 def read_tensor_file(path) -> dict[str, np.ndarray]:
-    """Read a tensor file written by :func:`write_tensor_file`."""
+    """Read a tensor file written by :func:`write_tensor_file`.
+
+    Duplicate names and non-finite values are format errors.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 8 or raw[:4] != CHECKPOINT_MAGIC:
@@ -633,6 +611,10 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
             n = int(np.prod(dims)) if rank else 1
             values = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
             offset += 4 * n
+            if name in out:
+                raise CheckpointFormatError(f"{path}: duplicate tensor {name!r}")
+            if not np.all(np.isfinite(values)):
+                raise CheckpointFormatError(f"{path}: tensor {name!r} has non-finite values")
             out[name] = values.astype(np.float64).reshape(dims)
     except (struct.error, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: truncated checkpoint") from exc

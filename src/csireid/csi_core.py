@@ -193,7 +193,10 @@ def write_sample(record: SampleRecord, path: str | Path) -> None:
 
 
 def read_sample(path: str | Path) -> SampleRecord:
-    """Read a CSB file back into a SampleRecord, validating the header."""
+    """Read a CSB file back into a SampleRecord, validating the header.
+
+    A payload holding NaN or inf is a format error.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -218,14 +221,17 @@ def read_sample(path: str | Path) -> SampleRecord:
         )
     if len(body) > expected:
         raise CsbFormatError(f"{path}: {len(body) - expected} trailing bytes")
-    if kind == PayloadKind.COMPLEX:
-        values = np.frombuffer(body, dtype="<c8").astype(np.complex128)
-        payload: ComplexCsiTensor | FeatureSequence = ComplexCsiTensor(
-            rx, tx, sub, pkt, values.reshape(rx, tx, sub, pkt)
-        )
-    else:
-        values = np.frombuffer(body, dtype="<f4").astype(np.float64)
-        payload = FeatureSequence(pkt, rx * tx * sub, values.reshape(pkt, rx * tx * sub))
+    try:
+        if kind == PayloadKind.COMPLEX:
+            values = np.frombuffer(body, dtype="<c8").astype(np.complex128)
+            payload: ComplexCsiTensor | FeatureSequence = ComplexCsiTensor(
+                rx, tx, sub, pkt, values.reshape(rx, tx, sub, pkt)
+            )
+        else:
+            values = np.frombuffer(body, dtype="<f4").astype(np.float64)
+            payload = FeatureSequence(pkt, rx * tx * sub, values.reshape(pkt, rx * tx * sub))
+    except ValueError as exc:  # the payload constructors reject non-finite values
+        raise CsbFormatError(f"{path}: {exc}") from exc
     return SampleRecord(subject, scenario, payload, kind, dims=(rx, tx, sub, pkt))
 
 

@@ -1,9 +1,10 @@
 """Sequence encoders and the unit-norm signature head.
 
-Three interchangeable encoders (LSTM, bidirectional LSTM, Transformer) map a
-(packet, feature) sequence to a fixed-width vector; a linear head plus l2
-normalization turns that vector into a signature whose dot products are
-cosine similarities. All forward passes run batched over (B, P, F) tensors.
+Two interchangeable encoders map a (packet, feature) sequence to a
+fixed-width vector: one stacked LSTM, run forward only (``"lstm"``) or
+forward and backward (``"bilstm"``), and a Transformer. A linear head plus
+l2 normalization turns that vector into a signature whose dot products are
+cosine similarities. Every forward pass takes a rank-3 (B, P, F) tensor.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from csireid import autodiff as ad
-from csireid.csi_core import FeatureSequence
 
 ARCHES = ("lstm", "bilstm", "transformer")
 POOLINGS = ("mean_time", "last_step")
@@ -58,19 +58,6 @@ class EncoderConfig:
         return 2 * self.hidden_d if self.arch == "bilstm" else self.hidden_d
 
 
-@dataclass
-class Signature:
-    """A unit-l2-norm vector of s reals."""
-
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.vector = np.asarray(self.vector, dtype=np.float64).reshape(-1)
-        norm = float(np.linalg.norm(self.vector))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"signature norm {norm} deviates from 1 by > 1e-6")
-
-
 def positional_encoding(p: int, d: int) -> np.ndarray:
     """Sinusoidal position table: sin on even columns, cos on odd ones."""
     if d % 2 != 0:
@@ -94,40 +81,29 @@ def _linear(params: dict, prefix: str, x: ad.DiffTensor) -> ad.DiffTensor:
     return ad.add(ad.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
 
 
-def _as_batch(x) -> ad.DiffTensor:
-    """Accept FeatureSequence, 2-d, or 3-d input; return a (B, P, F) tensor."""
-    if isinstance(x, FeatureSequence):
-        return ad.constant(x.data[None, :, :])
-    if isinstance(x, ad.DiffTensor):
-        if x.values.ndim == 2:
-            return ad.reshape(x, (1,) + x.values.shape)
-        if x.values.ndim == 3:
-            return x
-    raise ValueError("input must be a FeatureSequence or a rank-2/3 DiffTensor")
+def _require_batch(x) -> ad.DiffTensor:
+    if not (isinstance(x, ad.DiffTensor) and x.values.ndim == 3):
+        raise ValueError("input must be a rank-3 (B, P, F) DiffTensor")
+    return x
+
+
+def _join(parts: list[ad.DiffTensor], axis: int) -> ad.DiffTensor:
+    """Concatenate along ``axis``; a single part is returned as is."""
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=axis)
 
 
 # ---------------------------------------------------------------- attention
 
 
-def multi_head_attention(
-    x,
-    weights: dict,
-    heads: int,
-    dropout_pd: float = 0.0,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    return_weights: bool = False,
-):
-    """Scaled dot-product self-attention over the packet axis.
+def multi_head_attention(x, weights: dict, heads: int, return_weights: bool = False):
+    """Scaled dot-product self-attention over the packet axis of (B, P, d).
 
     ``weights`` holds the fused projections wq/wk/wv/wo with biases; heads
-    are blocks of the fused matrices. ``dropout_pd`` is accepted for config
-    symmetry but dropout is applied between encoder layers, not inside the
-    sub-layer. Residual and layer norm are the caller's responsibility.
+    are blocks of the fused matrices. Dropout is applied between encoder
+    layers, not inside the sub-layer. Residual and layer norm are the
+    caller's responsibility.
     """
-    del dropout_pd, mode, rng
-    xb = _as_batch(x)
-    squeeze = not (isinstance(x, ad.DiffTensor) and x.values.ndim == 3)
+    xb = _require_batch(x)
     b, p, d = xb.values.shape
     if d % heads != 0:
         raise ValueError(f"model width {d} not divisible by heads {heads}")
@@ -147,8 +123,6 @@ def multi_head_attention(
     mixed = ad.matmul(attn, v)
     merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, p, d))
     out = _linear(weights, "wo", merged)
-    if squeeze:
-        out = ad.reshape(out, (p, d))
     if return_weights:
         return out, attn.values.copy()
     return out
@@ -205,71 +179,44 @@ def _stack_steps(hs: list[ad.DiffTensor]) -> ad.DiffTensor:
 
 
 class LstmEncoder:
-    """Stacked unidirectional LSTM; encodes to the final top-layer state."""
+    """Stacked LSTM; encodes to the end-of-pass state of each direction.
+
+    ``cfg.arch`` sets the directions: ``"lstm"`` runs forward only,
+    ``"bilstm"`` runs forward and backward and concatenates both states.
+    """
 
     def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
         self.cfg = cfg
         self.n_feat = n_feat
-        self.layers = []
-        in_dim = n_feat
-        for _ in range(cfg.layers_l):
-            self.layers.append(_lstm_cell_params(rng, in_dim, cfg.hidden_d))
-            in_dim = cfg.hidden_d
-
-    def named_params(self) -> dict[str, ad.DiffTensor]:
-        return {
-            f"lstm{i}.{k}": v for i, cell in enumerate(self.layers) for k, v in cell.items()
-        }
-
-    def encode(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        xb = _as_batch(x)
-        final = None
-        for idx, cell in enumerate(self.layers):
-            last_layer = idx == len(self.layers) - 1
-            hs, final = _lstm_layer(xb, cell, self.cfg.hidden_d, reverse=False)
-            if not last_layer:
-                xb = ad.dropout(
-                    _stack_steps(hs), 1.0 - self.cfg.dropout_pd, rng, training
-                )
-        return final
-
-
-class BiLstmEncoder:
-    """Stacked bidirectional LSTM; concatenates the two end-of-pass states."""
-
-    def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
-        self.cfg = cfg
-        self.n_feat = n_feat
+        self.directions = ("fwd", "bwd") if cfg.arch == "bilstm" else ("fwd",)
         self.layers = []
         in_dim = n_feat
         for _ in range(cfg.layers_l):
             self.layers.append(
-                {
-                    "fwd": _lstm_cell_params(rng, in_dim, cfg.hidden_d),
-                    "bwd": _lstm_cell_params(rng, in_dim, cfg.hidden_d),
-                }
+                {d: _lstm_cell_params(rng, in_dim, cfg.hidden_d) for d in self.directions}
             )
-            in_dim = 2 * cfg.hidden_d
+            in_dim = len(self.directions) * cfg.hidden_d
 
     def named_params(self) -> dict[str, ad.DiffTensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for direction, cell in layer.items():
-                for k, v in cell.items():
-                    out[f"bilstm{i}.{direction}.{k}"] = v
-        return out
+        bidirectional = len(self.directions) == 2
+        return {
+            f"bilstm{i}.{d}.{k}" if bidirectional else f"lstm{i}.{k}": v
+            for i, layer in enumerate(self.layers)
+            for d, cell in layer.items()
+            for k, v in cell.items()
+        }
 
     def encode(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        xb = _as_batch(x)
-        h_fwd = h_bwd = None
+        xb = _require_batch(x)
         for idx, layer in enumerate(self.layers):
-            last_layer = idx == len(self.layers) - 1
-            hs_f, h_fwd = _lstm_layer(xb, layer["fwd"], self.cfg.hidden_d, reverse=False)
-            hs_b, h_bwd = _lstm_layer(xb, layer["bwd"], self.cfg.hidden_d, reverse=True)
-            if not last_layer:
-                seq = ad.concat([_stack_steps(hs_f), _stack_steps(hs_b)], axis=2)
+            passes = [
+                _lstm_layer(xb, cell, self.cfg.hidden_d, reverse=d == "bwd")
+                for d, cell in layer.items()
+            ]
+            if idx != len(self.layers) - 1:
+                seq = _join([_stack_steps(hs) for hs, _ in passes], axis=2)
                 xb = ad.dropout(seq, 1.0 - self.cfg.dropout_pd, rng, training)
-        return ad.concat([h_fwd, h_bwd], axis=1)
+        return _join([final for _, final in passes], axis=1)
 
 
 # ------------------------------------------------------------- transformer
@@ -311,7 +258,7 @@ class TransformerEncoder:
         return out
 
     def encode(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        xb = _as_batch(x)
+        xb = _require_batch(x)
         _, p, _ = xb.values.shape
         h = ad.add(
             ad.add(ad.matmul(xb, self.proj["in.w"]), self.proj["in.b"]),
@@ -329,55 +276,21 @@ class TransformerEncoder:
         return ad.take_slice(h, (slice(None), p - 1, slice(None)))
 
 
-# ----------------------------------------------------------------- wrappers
-
-
-def lstm_encode(x: FeatureSequence, cfg: EncoderConfig, params: LstmEncoder) -> ad.DiffTensor:
-    """Single-sequence encode; returns the (hidden_d,) final state."""
-    out = params.encode(x)
-    return ad.reshape(out, (cfg.hidden_d,))
-
-
-def bilstm_encode(x: FeatureSequence, cfg: EncoderConfig, params: BiLstmEncoder) -> ad.DiffTensor:
-    """Single-sequence encode; returns the (2 * hidden_d,) paired state."""
-    out = params.encode(x)
-    return ad.reshape(out, (2 * cfg.hidden_d,))
-
-
-def transformer_encode(
-    x: FeatureSequence,
-    cfg: EncoderConfig,
-    params: TransformerEncoder,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> ad.DiffTensor:
-    """Single-sequence encode; returns the pooled (hidden_d,) vector."""
-    out = params.encode(x, training=mode == "train", rng=rng)
-    return ad.reshape(out, (cfg.hidden_d,))
-
-
-def signature_head(h: ad.DiffTensor, params: dict) -> Signature:
-    """Project to s dims, l2-normalize, and wrap as a Signature."""
-    tensor = signature_tensor(h, params)
-    return Signature(tensor.values.reshape(-1))
+# ----------------------------------------------------------- signature head
 
 
 def signature_tensor(h: ad.DiffTensor, params: dict) -> ad.DiffTensor:
     """Differentiable (B, s) signatures from (B, enc_dim) encoder output."""
-    hb = h if h.values.ndim == 2 else ad.reshape(h, (1, h.values.size))
-    pre = ad.add(ad.matmul(hb, params["head.w"]), params["head.b"])
+    pre = ad.add(ad.matmul(h, params["head.w"]), params["head.b"])
     norms = np.linalg.norm(pre.values, axis=1)
     if np.any(norms < 1e-12):
         raise ad.NumericError("zero-norm vector reached the signature head")
-    out = ad.l2_normalize_axis(pre, axis=1)
-    if h.values.ndim == 1:
-        return ad.reshape(out, (out.values.shape[1],))
-    return out
+    return ad.l2_normalize_axis(pre, axis=1)
 
 
 _ENCODERS = {
     "lstm": LstmEncoder,
-    "bilstm": BiLstmEncoder,
+    "bilstm": LstmEncoder,
     "transformer": TransformerEncoder,
 }
 

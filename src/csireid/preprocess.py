@@ -30,15 +30,12 @@ class HampelConfig:
 
     window_w: int = 5
     xi: float = 3.0
-    replace_policy: str = "local_median"
 
     def __post_init__(self) -> None:
         if self.window_w < 3 or self.window_w % 2 == 0:
             raise ValueError("window_w must be odd and >= 3")
         if not self.xi > 0:
             raise ValueError("xi must be > 0")
-        if self.replace_policy != "local_median":
-            raise ValueError(f"unknown replace_policy {self.replace_policy!r}")
 
 
 class OffsetSign(Enum):
@@ -104,11 +101,6 @@ def phase_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
     return FeatureSequence(csi.n_pkt, csi.n_feat, flatten_features(ang))
 
 
-def _median_bottom(values: np.ndarray) -> np.ndarray:
-    """Median over axis 0; matches the sort-then-middle textbook rule."""
-    return np.median(values, axis=0)
-
-
 def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> FeatureSequence:
     """Replace window outliers with the window median, per feature column.
 
@@ -134,8 +126,8 @@ def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> Feat
         edges = range(p)
     for i in edges:
         w = x[max(0, i - half) : min(p, i + half + 1)]
-        med[i] = _median_bottom(w)
-        mad[i] = _median_bottom(np.abs(w - med[i]))
+        med[i] = np.median(w, axis=0)
+        mad[i] = np.median(np.abs(w - med[i]), axis=0)
     outlier = np.abs(x - med) > cfg.xi * mad
     out = np.where(outlier, med, x)
     return FeatureSequence(seq.n_pkt, seq.n_feat, out)

@@ -281,16 +281,6 @@ def test_grad_l2_normalize():
     assert check_unary(lambda t: ad.l2_normalize_axis(t, axis=1), x) < TOL
 
 
-def test_primitive_forward_dispatch():
-    x = ad.parameter(rand((2, 3), 37))
-    out = ad.primitive_forward("tanh", x)
-    np.testing.assert_array_equal(out.values, np.tanh(x.values))
-    pair = ad.primitive_forward("add", [x, x])
-    np.testing.assert_allclose(pair.values, 2 * x.values)
-    with pytest.raises(ValueError):
-        ad.primitive_forward("conv2d", x)
-
-
 def test_unstack_matches_take_slice():
     x1 = ad.parameter(rand((2, 4, 3), 50))
     x2 = ad.parameter(x1.values.copy())
@@ -471,4 +461,41 @@ def test_checkpoint_trailing_bytes(tmp_path):
     ad.write_tensor_file(path, {"w": rand((2, 2), 46)})
     path.write_bytes(path.read_bytes() + b"\x01")
     with pytest.raises(ad.CheckpointFormatError):
+        ad.read_tensor_file(path)
+
+
+@pytest.mark.parametrize("value", [1e39, np.nan, -np.inf])
+def test_checkpoint_write_rejects_nonfinite_f32(tmp_path, value):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="'w'"):
+        ad.write_tensor_file(path, {"ok": np.ones(2), "w": np.array([value, 1.0])})
+    assert not path.exists()
+
+
+def _duplicate_tensor(raw: bytes) -> bytes:
+    # header count 2, then the single stored tensor twice
+    return raw[:4] + (2).to_bytes(4, "little") + raw[8:] + raw[8:]
+
+
+def _nonfinite_last_value(value):
+    def corrupt(raw: bytes) -> bytes:
+        return raw[:-4] + np.array([value], dtype="<f4").tobytes()
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_duplicate_tensor, "duplicate tensor 'w'"),
+        (_nonfinite_last_value(np.nan), "'w' has non-finite"),
+        (_nonfinite_last_value(np.inf), "'w' has non-finite"),
+    ],
+    ids=["duplicate", "nan", "inf"],
+)
+def test_checkpoint_read_rejects_bad_tensors(tmp_path, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    ad.write_tensor_file(path, {"w": rand((2, 2), 47)})
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ad.CheckpointFormatError, match=message):
         ad.read_tensor_file(path)

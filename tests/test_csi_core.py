@@ -116,6 +116,26 @@ def test_nonfinite_payload_rejected(tmp_path):
         write_sample(rec, tmp_path / "bad.csb")
 
 
+def small_amplitude_record():
+    return SampleRecord(
+        0, Scenario.TSHIRT, FeatureSequence(2, 2, np.ones((2, 2))), PayloadKind.AMPLITUDE
+    )
+
+
+@pytest.mark.parametrize(
+    "make_record, bad",
+    [(small_amplitude_record, np.nan), (small_complex_record, np.inf)],
+    ids=["nan-amplitude", "inf-complex"],
+)
+def test_nonfinite_payload_read_rejected(tmp_path, make_record, bad):
+    path = tmp_path / "s.csb"
+    write_sample(make_record(), path)
+    # overwrite the last f32 of the payload
+    path.write_bytes(path.read_bytes()[:-4] + np.array([bad], dtype="<f4").tobytes())
+    with pytest.raises(CsbFormatError, match=f"{path.name}.*non-finite"):
+        read_sample(path)
+
+
 def test_manifest_round_trip(tmp_path):
     entries = [
         ManifestEntry("a/0.csb", 0, Scenario.TSHIRT, "train"),

@@ -7,21 +7,14 @@ from csireid import autodiff as ad
 from csireid.csi_core import FeatureSequence
 from csireid.encoders import (
     ARCHES,
-    BiLstmEncoder,
     EncoderConfig,
     LstmEncoder,
-    Signature,
-    SignatureModel,
     TransformerEncoder,
     attention_params,
-    bilstm_encode,
     build_model,
-    lstm_encode,
     multi_head_attention,
     positional_encoding,
-    signature_head,
     signature_tensor,
-    transformer_encode,
 )
 
 TINY = dict(layers_l=1, hidden_d=4, heads=2, ff_dim=6, signature_dim_s=3, dropout_pd=0.0)
@@ -34,6 +27,11 @@ def tiny_cfg(arch, **over):
 
 def rand_seq(p=4, f=5, seed=0):
     return FeatureSequence(p, f, np.random.default_rng(seed).normal(size=(p, f)))
+
+
+def batch(seq):
+    """A one-sample (1, P, F) batch."""
+    return ad.constant(seq.data[None])
 
 
 # ------------------------------------------------------ positional encoding
@@ -72,16 +70,16 @@ def test_attention_uniform_when_queries_vanish():
     weights = attention_params(rng, d)
     weights["wq.w"].values[:] = 0.0
     weights["wo.w"].values[:] = np.eye(d)
-    x = ad.constant(rng.normal(size=(3, d)))
+    x = ad.constant(rng.normal(size=(1, 3, d)))
     out = multi_head_attention(x, weights, heads=2)
-    v = x.values @ weights["wv.w"].values + weights["wv.b"].values
-    np.testing.assert_allclose(out.values, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
+    v = x.values[0] @ weights["wv.w"].values + weights["wv.b"].values
+    np.testing.assert_allclose(out.values[0], np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
 
 def test_attention_weight_rows_sum_to_one():
     rng = np.random.default_rng(2)
     weights = attention_params(rng, 6)
-    x = ad.constant(rng.normal(size=(5, 6)))
+    x = ad.constant(rng.normal(size=(1, 5, 6)))
     _, attn = multi_head_attention(x, weights, heads=3, return_weights=True)
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -89,7 +87,7 @@ def test_attention_weight_rows_sum_to_one():
 def test_attention_grad_check():
     rng = np.random.default_rng(3)
     weights = attention_params(rng, 4)
-    x = ad.constant(rng.normal(size=(3, 4)))
+    x = ad.constant(rng.normal(size=(1, 3, 4)))
     tensors = list(weights.values())
 
     def f(ts):
@@ -108,16 +106,16 @@ def test_lstm_zero_params_zero_output():
     enc = LstmEncoder(cfg, 5, np.random.default_rng(4))
     for p in enc.named_params().values():
         p.values[:] = 0.0
-    out = lstm_encode(rand_seq(), cfg, enc)
-    np.testing.assert_array_equal(out.values, np.zeros(4))
+    out = enc.encode(batch(rand_seq()))
+    np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
 
 
 def test_lstm_single_step_matches_cell_arithmetic():
     cfg = tiny_cfg("lstm")
     enc = LstmEncoder(cfg, 5, np.random.default_rng(5))
     seq = rand_seq(p=1, seed=6)
-    out = lstm_encode(seq, cfg, enc)
-    cell = enc.layers[0]
+    out = enc.encode(batch(seq))
+    cell = enc.layers[0]["fwd"]
     pre = seq.data @ cell["w_x"].values + cell["b"].values
     h = cfg.hidden_d
 
@@ -127,7 +125,7 @@ def test_lstm_single_step_matches_cell_arithmetic():
     i, f, g, o = pre[0, :h], pre[0, h : 2 * h], pre[0, 2 * h : 3 * h], pre[0, 3 * h :]
     c = sig(i) * np.tanh(g)
     want = sig(o) * np.tanh(c)
-    np.testing.assert_allclose(out.values, want, atol=1e-12)
+    np.testing.assert_allclose(out.values[0], want, atol=1e-12)
 
 
 def test_lstm_grad_through_time():
@@ -147,7 +145,7 @@ def test_lstm_grad_through_time():
 def test_lstm_stacked_shapes():
     cfg = tiny_cfg("lstm", layers_l=2)
     enc = LstmEncoder(cfg, 5, np.random.default_rng(11))
-    out = enc.encode(rand_seq(), training=True, rng=np.random.default_rng(0))
+    out = enc.encode(batch(rand_seq()), training=True, rng=np.random.default_rng(0))
     assert out.values.shape == (1, 4)
 
 
@@ -156,35 +154,35 @@ def test_lstm_stacked_shapes():
 
 def test_bilstm_zero_params_zero_output():
     cfg = tiny_cfg("bilstm")
-    enc = BiLstmEncoder(cfg, 5, np.random.default_rng(12))
+    enc = LstmEncoder(cfg, 5, np.random.default_rng(12))
     for p in enc.named_params().values():
         p.values[:] = 0.0
-    out = bilstm_encode(rand_seq(), cfg, enc)
-    np.testing.assert_array_equal(out.values, np.zeros(8))
+    out = enc.encode(batch(rand_seq()))
+    np.testing.assert_array_equal(out.values, np.zeros((1, 8)))
 
 
 def test_bilstm_output_width():
     cfg = tiny_cfg("bilstm")
-    enc = BiLstmEncoder(cfg, 5, np.random.default_rng(13))
-    assert bilstm_encode(rand_seq(), cfg, enc).values.shape == (8,)
+    enc = LstmEncoder(cfg, 5, np.random.default_rng(13))
+    assert enc.encode(batch(rand_seq())).values.shape == (1, 8)
 
 
 def test_bilstm_palindrome_with_tied_weights():
     cfg = tiny_cfg("bilstm")
-    enc = BiLstmEncoder(cfg, 5, np.random.default_rng(14))
+    enc = LstmEncoder(cfg, 5, np.random.default_rng(14))
     layer = enc.layers[0]
     for key in ("w_x", "w_h", "b"):
         layer["bwd"][key].values[...] = layer["fwd"][key].values
     rng = np.random.default_rng(15)
     half = rng.normal(size=(3, 5))
     data = np.vstack([half, half[::-1]])
-    out = bilstm_encode(FeatureSequence(6, 5, data), cfg, enc)
-    np.testing.assert_array_equal(out.values[:4], out.values[4:])
+    out = enc.encode(batch(FeatureSequence(6, 5, data))).values[0]
+    np.testing.assert_array_equal(out[:4], out[4:])
 
 
 def test_bilstm_grad_check():
     cfg = tiny_cfg("bilstm")
-    enc = BiLstmEncoder(cfg, 3, np.random.default_rng(16))
+    enc = LstmEncoder(cfg, 3, np.random.default_rng(16))
     x = ad.parameter(np.random.default_rng(17).normal(size=(1, 5, 3)))
 
     def f(ts):
@@ -206,8 +204,8 @@ def test_transformer_single_packet_pooling_equivalence():
     cfg_last = tiny_cfg("transformer", pooling="last_step")
     enc_mean = TransformerEncoder(cfg_mean, 5, np.random.default_rng(rng_seed))
     enc_last = TransformerEncoder(cfg_last, 5, np.random.default_rng(rng_seed))
-    a = transformer_encode(seq, cfg_mean, enc_mean)
-    b = transformer_encode(seq, cfg_last, enc_last)
+    a = enc_mean.encode(batch(seq))
+    b = enc_last.encode(batch(seq))
     np.testing.assert_allclose(a.values, b.values, atol=1e-15)
 
 
@@ -215,9 +213,9 @@ def test_transformer_packet_order_matters():
     cfg = tiny_cfg("transformer")
     enc = TransformerEncoder(cfg, 5, np.random.default_rng(21))
     seq = rand_seq(p=6, seed=22)
-    base = transformer_encode(seq, cfg, enc).values
+    base = enc.encode(batch(seq)).values
     permuted = FeatureSequence(6, 5, seq.data[::-1].copy())
-    swapped = transformer_encode(permuted, cfg, enc).values
+    swapped = enc.encode(batch(permuted)).values
     assert np.abs(base - swapped).max() > 1e-6
 
 
@@ -237,8 +235,17 @@ def test_transformer_grad_check():
 def test_transformer_two_layer_train_mode_runs():
     cfg = tiny_cfg("transformer", layers_l=2, dropout_pd=0.2)
     enc = TransformerEncoder(cfg, 5, np.random.default_rng(26))
-    out = enc.encode(rand_seq(), training=True, rng=np.random.default_rng(1))
+    out = enc.encode(batch(rand_seq()), training=True, rng=np.random.default_rng(1))
     assert out.values.shape == (1, 4)
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_encoders_reject_non_batch_input(arch):
+    enc = build_model(tiny_cfg(arch), n_feat=5, seed=0).encoder
+    seq = rand_seq()
+    for x in (seq, ad.constant(seq.data), ad.constant(seq.data[None, None])):
+        with pytest.raises(ValueError, match="rank-3"):
+            enc.encode(x)
 
 
 # ----------------------------------------------------------- signature head
@@ -249,8 +256,8 @@ def test_signature_identity_map_normalizes():
         "head.w": ad.parameter(np.eye(2)),
         "head.b": ad.parameter(np.zeros(2)),
     }
-    sig = signature_head(ad.constant(np.array([[3.0, 4.0]])), params)
-    np.testing.assert_allclose(sig.vector, [0.6, 0.8], atol=1e-12)
+    sig = signature_tensor(ad.constant(np.array([[3.0, 4.0]])), params)
+    np.testing.assert_allclose(sig.values, [[0.6, 0.8]], atol=1e-12)
 
 
 def test_signature_scale_invariance():
@@ -260,9 +267,9 @@ def test_signature_scale_invariance():
         "head.b": ad.parameter(np.zeros(4)),
     }
     h = rng.normal(size=(1, 6))
-    base = signature_head(ad.constant(h), params).vector
+    base = signature_tensor(ad.constant(h), params).values
     for c in (1e-3, 0.5, 7.0, 1e3):
-        scaled = signature_head(ad.constant(c * h), params).vector
+        scaled = signature_tensor(ad.constant(c * h), params).values
         np.testing.assert_allclose(scaled, base, atol=1e-9)
 
 
@@ -272,13 +279,7 @@ def test_signature_zero_norm_rejected():
         "head.b": ad.parameter(np.zeros(2)),
     }
     with pytest.raises(ad.NumericError):
-        signature_head(ad.constant(np.ones((1, 3))), params)
-
-
-def test_signature_type_validates_norm():
-    with pytest.raises(ValueError):
-        Signature(np.array([1.0, 1.0]))
-    Signature(np.array([1.0, 0.0]))
+        signature_tensor(ad.constant(np.ones((1, 3))), params)
 
 
 # -------------------------------------------------------------------- models
@@ -300,10 +301,11 @@ def test_eval_forward_bitwise_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_build_model_seed_determinism():
-    a = build_model(tiny_cfg("lstm"), n_feat=5, seed=11)
-    b = build_model(tiny_cfg("lstm"), n_feat=5, seed=11)
-    c = build_model(tiny_cfg("lstm"), n_feat=5, seed=12)
+@pytest.mark.parametrize("arch", ARCHES)
+def test_build_model_seed_determinism(arch):
+    a = build_model(tiny_cfg(arch), n_feat=5, seed=11)
+    b = build_model(tiny_cfg(arch), n_feat=5, seed=11)
+    c = build_model(tiny_cfg(arch), n_feat=5, seed=12)
     for (ka, va), (kb, vb) in zip(a.named_params().items(), b.named_params().items()):
         assert ka == kb
         np.testing.assert_array_equal(va.values, vb.values)
@@ -311,6 +313,39 @@ def test_build_model_seed_determinism():
         not np.array_equal(va.values, vc.values)
         for va, vc in zip(a.params, c.params)
     )
+
+
+_TF_BLOCK_KEYS = (
+    "wq.w", "wq.b", "wk.w", "wk.b", "wv.w", "wv.b", "wo.w", "wo.b",
+    "ff1.w", "ff1.b", "ff2.w", "ff2.b", "ln1.g", "ln1.b", "ln2.g", "ln2.b",
+)
+STATE_KEYS = {
+    "lstm": [
+        "lstm0.w_x", "lstm0.w_h", "lstm0.b",
+        "lstm1.w_x", "lstm1.w_h", "lstm1.b",
+        "head.w", "head.b",
+    ],
+    "bilstm": [
+        "bilstm0.fwd.w_x", "bilstm0.fwd.w_h", "bilstm0.fwd.b",
+        "bilstm0.bwd.w_x", "bilstm0.bwd.w_h", "bilstm0.bwd.b",
+        "bilstm1.fwd.w_x", "bilstm1.fwd.w_h", "bilstm1.fwd.b",
+        "bilstm1.bwd.w_x", "bilstm1.bwd.w_h", "bilstm1.bwd.b",
+        "head.w", "head.b",
+    ],
+    "transformer": [
+        "tf.in.w", "tf.in.b",
+        *(f"tf0.{k}" for k in _TF_BLOCK_KEYS),
+        *(f"tf1.{k}" for k in _TF_BLOCK_KEYS),
+        "head.w", "head.b",
+    ],
+}
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_state_dict_keys_pinned(arch):
+    # checkpoints are keyed by these names; renaming one orphans saved weights
+    model = build_model(tiny_cfg(arch, layers_l=2), n_feat=5, seed=0)
+    assert list(model.state_dict()) == STATE_KEYS[arch]
 
 
 def test_state_dict_round_trip():

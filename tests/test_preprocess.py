@@ -124,8 +124,6 @@ def test_hampel_config_validation():
         HampelConfig(window_w=1)
     with pytest.raises(ValueError):
         HampelConfig(xi=0.0)
-    with pytest.raises(ValueError):
-        HampelConfig(replace_policy="drop")
 
 
 # -------------------------------------------------------------------- phase
