@@ -246,7 +246,11 @@ def load_manifest(path: str | Path) -> Manifest:
                 f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}"
             )
         for i, row in enumerate(reader, start=2):
+            if None in row:
+                raise CsbFormatError(f"{path}:{i}: extra fields {row[None]!r}")
             rel = row["path"]
+            if not rel:
+                raise CsbFormatError(f"{path}:{i}: empty path")
             if rel in seen:
                 raise CsbFormatError(f"{path}:{i}: duplicate path {rel!r}")
             seen.add(rel)

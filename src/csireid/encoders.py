@@ -282,9 +282,12 @@ class TransformerEncoder:
 def signature_tensor(h: ad.DiffTensor, params: dict) -> ad.DiffTensor:
     """Differentiable (B, s) signatures from (B, enc_dim) encoder output."""
     pre = ad.add(ad.matmul(h, params["head.w"]), params["head.b"])
-    norms = np.linalg.norm(pre.values, axis=1)
-    if np.any(norms < 1e-12):
-        raise ad.NumericError("zero-norm vector reached the signature head")
+    bad = np.flatnonzero(~np.isfinite(pre.values).all(axis=1))
+    if bad.size:
+        raise ad.NumericError(f"non-finite vector reached the signature head (rows {bad.tolist()})")
+    bad = np.flatnonzero(np.linalg.norm(pre.values, axis=1) < 1e-12)
+    if bad.size:
+        raise ad.NumericError(f"zero-norm vector reached the signature head (rows {bad.tolist()})")
     return ad.l2_normalize_axis(pre, axis=1)
 
 
@@ -333,11 +336,17 @@ class SignatureModel:
         extra = set(state) - set(own)
         if missing or extra:
             raise ValueError(f"parameter name mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        arrays = {}
         for name, tensor in own.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != tensor.values.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {tensor.values.shape}")
-            tensor.values[...] = arr
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite values in {name}")
+            arrays[name] = arr
+        # nothing is written until every array has passed
+        for name, tensor in own.items():
+            tensor.values[...] = arrays[name]
 
 
 def build_model(cfg: EncoderConfig, n_feat: int, seed: int) -> SignatureModel:

@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from csireid.csi_core import ComplexCsiTensor, FeatureSequence, flatten_features
 
 log = logging.getLogger(__name__)
+
+# Packets per block of the interior Hampel pass. A block's lane buffers, w + 2
+# of (block, n_feat) float64, stay cache-resident at the default window.
+HAMPEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -101,35 +104,105 @@ def phase_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
     return FeatureSequence(csi.n_pkt, csi.n_feat, flatten_features(ang))
 
 
+def _middle_lane_network(n: int) -> list[tuple[int, bool, bool]]:
+    """Odd-even transposition network on n lanes, pruned to the middle lane.
+
+    Returns the compare-exchanges of lanes (i, i + 1) in execution order as
+    (i, keep_min, keep_max). An output that neither the middle lane nor a
+    later step reads is not computed; a step with no such output is dropped.
+    """
+    steps = [i for r in range(n) for i in range(r % 2, n - 1, 2)]
+    live = {n // 2}
+    kept = []
+    for i in reversed(steps):
+        lo, hi = i in live, i + 1 in live
+        if lo or hi:
+            kept.append((i, lo, hi))
+            live |= {i, i + 1}
+    return kept[::-1]
+
+
+def _select_middle(
+    lanes: list[np.ndarray], spare: np.ndarray, network: list[tuple[int, bool, bool]]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run ``network`` in place; return the middle lane and the free buffers.
+
+    The free buffers are the other lanes and the spare, for the caller to
+    reuse. Every step stores np.minimum/np.maximum of two lanes, so each output
+    element is one of the input elements, bit for bit.
+    """
+    for i, lo, hi in network:
+        a, b = lanes[i], lanes[i + 1]
+        if lo and hi:
+            np.minimum(a, b, out=spare)
+            np.maximum(a, b, out=b)
+            lanes[i], spare = spare, a
+        elif lo:
+            np.minimum(a, b, out=a)
+        else:
+            np.maximum(a, b, out=b)
+    mid = len(lanes) // 2
+    return lanes[mid], lanes[:mid] + lanes[mid + 1 :] + [spare]
+
+
 def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> FeatureSequence:
     """Replace window outliers with the window median, per feature column.
 
     Windows are centered on each packet and truncated at the sequence
     boundaries; every window statistic is computed from the original values,
     so earlier replacements never feed later windows.
+
+    Full windows have odd length w, so their median is one window value and
+    their MAD is one of the values |x - median|. They are taken, a block of
+    ``HAMPEL_BLOCK`` packets at a time, from the middle lane of a min/max
+    network over the w shifted rows. The network only compare-exchanges, so
+    it moves values without rounding any, and the MAD network runs on the
+    same |x - median| values a sort-based median would see. The result
+    therefore equals ``np.median`` over each window bit for bit, without
+    window-sized copies of the sequence; the one freedom is which of 0.0
+    and -0.0 a window holding both returns, which no sort fixes either. The
+    2 * (w // 2) truncated boundary windows have even or short lengths and
+    use ``np.median``.
     """
     cfg = cfg or HampelConfig()
-    x = seq.data
-    half = cfg.window_w // 2
-    med = np.empty_like(x)
-    mad = np.empty_like(x)
+    # each block reads whole packet rows, so read them from a packet-major
+    # copy when the input is feature-major, as flattened captures are
+    x = np.ascontiguousarray(seq.data)
+    w = cfg.window_w
+    half = w // 2
     p = seq.n_pkt
-    if p >= cfg.window_w:
-        # interior windows all have the full odd length; one strided pass
-        win = sliding_window_view(x, cfg.window_w, axis=0)
-        med[half : p - half] = np.median(win, axis=-1)
-        mad[half : p - half] = np.median(
-            np.abs(win - med[half : p - half, :, None]), axis=-1
-        )
+    out = x.copy()
+    if p >= w:
+        network = _middle_lane_network(w)
+        block = min(HAMPEL_BLOCK, p - 2 * half)
+        bufs = [np.empty((block, seq.n_feat)) for _ in range(w + 2)]
+        mask = np.empty((block, seq.n_feat), dtype=bool)
+        for r0 in range(half, p - half, block):
+            nb = min(block, p - half - r0)
+            rows = [x[r0 - half + k : r0 - half + k + nb] for k in range(w)]
+            lanes = [b[:nb] for b in bufs]
+            for lane, row in zip(lanes, rows):
+                np.copyto(lane, row)
+            med, dev = _select_middle(lanes[:w], lanes[w], network)
+            for d, row in zip(dev, rows):
+                np.subtract(row, med, out=d)
+                np.abs(d, out=d)
+            mad, free = _select_middle(dev, lanes[w + 1], network)
+            np.multiply(mad, cfg.xi, out=mad)
+            centre = free[0]
+            np.subtract(rows[half], med, out=centre)
+            np.abs(centre, out=centre)
+            np.greater(centre, mad, out=mask[:nb])
+            np.copyto(out[r0 : r0 + nb], med, where=mask[:nb])
         edges = [*range(half), *range(p - half, p)]
     else:
         edges = range(p)
     for i in edges:
-        w = x[max(0, i - half) : min(p, i + half + 1)]
-        med[i] = np.median(w, axis=0)
-        mad[i] = np.median(np.abs(w - med[i]), axis=0)
-    outlier = np.abs(x - med) > cfg.xi * mad
-    out = np.where(outlier, med, x)
+        win = x[max(0, i - half) : min(p, i + half + 1)]
+        med = np.median(win, axis=0)
+        mad = np.median(np.abs(win - med), axis=0)
+        outlier = np.abs(x[i] - med) > cfg.xi * mad
+        out[i, outlier] = med[outlier]
     return FeatureSequence(seq.n_pkt, seq.n_feat, out)
 
 

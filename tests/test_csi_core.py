@@ -180,6 +180,20 @@ def test_manifest_duplicate_path_rejected(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_empty_path_rejected(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("path,subject_id,scenario,split\na.csb,0,tshirt,train\n,1,coat,train\n")
+    with pytest.raises(CsbFormatError, match=r"manifest.csv:3: empty path"):
+        load_manifest(path)
+
+
+def test_manifest_extra_fields_rejected(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("path,subject_id,scenario,split\nb.csb,2,coat,test,EXTRA\n")
+    with pytest.raises(CsbFormatError, match=r"manifest.csv:2: extra fields \['EXTRA'\]"):
+        load_manifest(path)
+
+
 def test_manifest_bad_header_rejected(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("file,subject,scenario,split\n")

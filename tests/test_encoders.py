@@ -278,8 +278,19 @@ def test_signature_zero_norm_rejected():
         "head.w": ad.parameter(np.zeros((3, 2))),
         "head.b": ad.parameter(np.zeros(2)),
     }
-    with pytest.raises(ad.NumericError):
+    with pytest.raises(ad.NumericError, match=r"zero-norm .*rows \[0\]"):
         signature_tensor(ad.constant(np.ones((1, 3))), params)
+
+
+def test_signature_nonfinite_rejected():
+    params = {
+        "head.w": ad.parameter(np.ones((3, 2))),
+        "head.b": ad.parameter(np.zeros(2)),
+    }
+    h = np.ones((2, 3))
+    h[1, 0] = np.nan
+    with pytest.raises(ad.NumericError, match=r"non-finite .*rows \[1\]"):
+        signature_tensor(ad.constant(h), params)
 
 
 # -------------------------------------------------------------------- models
@@ -359,6 +370,20 @@ def test_state_dict_round_trip():
         state = a.state_dict()
         state.pop(next(iter(state)))
         b.load_state_dict(state)
+
+
+def test_load_state_dict_rejects_nonfinite():
+    cfg = tiny_cfg("transformer")
+    a = build_model(cfg, n_feat=5, seed=5)
+    b = build_model(cfg, n_feat=5, seed=6)
+    before = b.state_dict()
+    state = a.state_dict()
+    state["head.b"][0] = np.nan
+    with pytest.raises(ValueError, match="head.b"):
+        b.load_state_dict(state)
+    # a rejected state dict leaves every parameter as it was
+    for name, values in b.state_dict().items():
+        np.testing.assert_array_equal(values, before[name])
 
 
 def test_end_to_end_input_gradient_all_archs():

@@ -1,6 +1,7 @@
 """Preprocessing oracle and property tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from csireid.csi_core import ComplexCsiTensor, FeatureSequence
 from csireid.preprocess import (
+    HAMPEL_BLOCK,
     HampelConfig,
     OffsetSign,
     SanitizeConfig,
@@ -79,7 +81,7 @@ def test_hampel_spike_replaced_by_window_median():
 def test_hampel_matches_bruteforce_oracle_exactly():
     rng = np.random.default_rng(11)
     cfg = HampelConfig()
-    for n in (1, 2, 3, 4, 5, 6, 7, 20, 101):
+    for n in (1, 2, 3, 4, 5, 6, 7, 20, 101, 200):
         cols = rng.normal(size=(n, 6))
         cols[rng.random(size=cols.shape) < 0.1] += 25.0
         out = hampel_filter(FeatureSequence(n, 6, cols), cfg)
@@ -97,6 +99,53 @@ def test_hampel_wider_window_matches_oracle():
         np.testing.assert_array_equal(
             out.data[:, j], hampel_column(cols[:, j], cfg.window_w, cfg.xi)
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hampel_matches_oracle_property(data):
+    w = 2 * data.draw(st.integers(1, 10), label="half") + 1
+    xi = data.draw(st.floats(0.5, 5.0, exclude_min=True), label="xi")
+    # P - (w - 1) windows are full; k * HAMPEL_BLOCK + d of them leave the
+    # last block one row short (d = -1), exactly full, or with one row
+    edges = [k * HAMPEL_BLOCK + w - 1 + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    p = data.draw(
+        st.one_of(
+            st.integers(1, w - 1),
+            st.just(w),
+            st.sampled_from(edges),
+            st.integers(1, 3 * HAMPEL_BLOCK + w),
+        ),
+        label="n_pkt",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # few distinct integers make tied window values; spikes stay integers
+    cols = rng.integers(-2, 3, size=(p, 3)).astype(np.float64)
+    cols[rng.random(size=cols.shape) < 0.05] *= 40.0
+    # a constant run gives windows with MAD = 0
+    start = int(rng.integers(0, p))
+    cols[start : start + int(rng.integers(1, 3 * w)), 0] = 5.0
+    out = hampel_filter(FeatureSequence(p, 3, cols), HampelConfig(window_w=w, xi=xi))
+    for j in range(3):
+        assert np.array_equal(out.data[:, j], hampel_column(cols[:, j], w, xi))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_hampel_allocation_bounded(order):
+    # whole-sequence window copies would need about w times the input;
+    # "F" is the feature-major layout that flattened captures have
+    rng = np.random.default_rng(21)
+    data = np.asarray(np.abs(rng.normal(size=(2000, 342))), order=order)
+    seq = FeatureSequence(2000, 342, data)
+    before = seq.data.copy()
+    tracemalloc.start()
+    try:
+        hampel_filter(seq, HampelConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * seq.data.nbytes
+    np.testing.assert_array_equal(seq.data, before)
 
 
 def test_hampel_idempotent_on_clean_output():
