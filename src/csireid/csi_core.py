@@ -41,6 +41,11 @@ class Scenario(IntEnum):
     SYNTHETIC = 3
 
 
+def _require_shape(data: np.ndarray, shape: tuple[int, ...]) -> None:
+    if data.shape != shape:
+        raise ValueError(f"data has shape {data.shape}, expected {shape}")
+
+
 def _require_finite(data: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{what} contains non-finite values")
@@ -61,13 +66,7 @@ class ComplexCsiTensor:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.data = np.asarray(self.data, dtype=np.complex128)
-        shape = (self.n_rx, self.n_tx, self.n_sub, self.n_pkt)
-        if self.data.shape != shape:
-            if self.data.size != int(np.prod(shape)):
-                raise ValueError(
-                    f"data has {self.data.size} entries, expected {np.prod(shape)}"
-                )
-            self.data = self.data.reshape(shape)
+        _require_shape(self.data, (self.n_rx, self.n_tx, self.n_sub, self.n_pkt))
         _require_finite(self.data, "CSI tensor")
 
     @property
@@ -77,7 +76,13 @@ class ComplexCsiTensor:
 
 @dataclass
 class FeatureSequence:
-    """Real-valued (packet, feature) matrix fed to the encoders."""
+    """Real-valued (packet, feature) matrix fed to the encoders.
+
+    ``data`` is always a C-contiguous float64 array of shape exactly
+    (n_pkt, n_feat), so each packet is one contiguous row; other layouts,
+    such as the feature-major view :func:`flatten_features` returns, are
+    copied once here.
+    """
 
     n_pkt: int
     n_feat: int
@@ -86,14 +91,8 @@ class FeatureSequence:
     def __post_init__(self) -> None:
         if self.n_pkt < 1 or self.n_feat < 1:
             raise ValueError("n_pkt and n_feat must be >= 1")
-        self.data = np.asarray(self.data, dtype=np.float64)
-        shape = (self.n_pkt, self.n_feat)
-        if self.data.shape != shape:
-            if self.data.size != self.n_pkt * self.n_feat:
-                raise ValueError(
-                    f"data has {self.data.size} entries, expected {self.n_pkt * self.n_feat}"
-                )
-            self.data = self.data.reshape(shape)
+        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
+        _require_shape(self.data, (self.n_pkt, self.n_feat))
         _require_finite(self.data, "feature sequence")
 
 
@@ -214,21 +213,23 @@ def read_sample(path: str | Path) -> SampleRecord:
     n_values = rx * tx * sub * pkt
     itemsize = 8 if kind == PayloadKind.COMPLEX else 4
     expected = n_values * itemsize
-    body = raw[_HEADER.size :]
-    if len(body) < expected:
+    n_body = len(raw) - _HEADER.size
+    if n_body < expected:
         raise CsbFormatError(
-            f"{path}: payload truncated ({len(body)} bytes, header promises {expected})"
+            f"{path}: payload truncated ({n_body} bytes, header promises {expected})"
         )
-    if len(body) > expected:
-        raise CsbFormatError(f"{path}: {len(body) - expected} trailing bytes")
+    if n_body > expected:
+        raise CsbFormatError(f"{path}: {n_body - expected} trailing bytes")
     try:
         if kind == PayloadKind.COMPLEX:
-            values = np.frombuffer(body, dtype="<c8").astype(np.complex128)
+            values = np.frombuffer(raw, "<c8", count=n_values, offset=_HEADER.size)
+            values = values.astype(np.complex128)
             payload: ComplexCsiTensor | FeatureSequence = ComplexCsiTensor(
                 rx, tx, sub, pkt, values.reshape(rx, tx, sub, pkt)
             )
         else:
-            values = np.frombuffer(body, dtype="<f4").astype(np.float64)
+            values = np.frombuffer(raw, "<f4", count=n_values, offset=_HEADER.size)
+            values = values.astype(np.float64)
             payload = FeatureSequence(pkt, rx * tx * sub, values.reshape(pkt, rx * tx * sub))
     except ValueError as exc:  # the payload constructors reject non-finite values
         raise CsbFormatError(f"{path}: {exc}") from exc

@@ -3,14 +3,16 @@
 Amplitude extraction plus Hampel outlier filtering, phase extraction plus
 linear sanitization (slope and offset removal per subcarrier row), uniform
 packet resampling, and per-feature standardization. All operations are pure
-functions over FeatureSequence / ComplexCsiTensor values.
+functions over FeatureSequence / ComplexCsiTensor values, and every
+FeatureSequence is packet-major, so each packet is one contiguous row.
+Sanitization has no settings: the subcarrier index is the centered
+m_k = k - (K-1)/2.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,49 +41,6 @@ class HampelConfig:
             raise ValueError("window_w must be odd and >= 3")
         if not self.xi > 0:
             raise ValueError("xi must be > 0")
-
-
-class OffsetSign(Enum):
-    """Sign applied to the mean-phase offset during sanitization.
-
-    SUBTRACT_MEAN removes the offset so a purely linear phase maps to zero;
-    ADD_MEAN flips the offset term instead, leaving twice the mean behind.
-    """
-
-    SUBTRACT_MEAN = "subtract_mean"
-    ADD_MEAN = "add_mean"
-
-
-@dataclass(frozen=True)
-class SanitizeConfig:
-    """Linear phase-calibration settings.
-
-    ``subcarrier_index`` is the vector of subcarrier positions m_k; when
-    None, a centered index m_k = k - (K-1)/2 is derived from the row length
-    at call time.
-    """
-
-    subcarrier_index: tuple[float, ...] | None = None
-    offset_sign: OffsetSign = OffsetSign.SUBTRACT_MEAN
-    unwrap: bool = True
-
-    def __post_init__(self) -> None:
-        if self.subcarrier_index is not None:
-            m = np.asarray(self.subcarrier_index, dtype=np.float64)
-            if m.ndim != 1 or m.size < 2:
-                raise ValueError("subcarrier_index must be a vector of >= 2 reals")
-            if not np.all(np.diff(m) > 0):
-                raise ValueError("subcarrier_index must be strictly increasing")
-            object.__setattr__(self, "subcarrier_index", tuple(float(v) for v in m))
-        if not isinstance(self.offset_sign, OffsetSign):
-            object.__setattr__(self, "offset_sign", OffsetSign(self.offset_sign))
-
-
-def centered_subcarrier_index(n_sub: int) -> np.ndarray:
-    """Centered positions m_k = k - (K-1)/2; exact dyadic values, mean 0."""
-    if n_sub < 2:
-        raise ValueError("need at least 2 subcarriers")
-    return np.arange(n_sub, dtype=np.float64) - (n_sub - 1) / 2.0
 
 
 def amplitude_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
@@ -165,9 +124,7 @@ def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> Feat
     use ``np.median``.
     """
     cfg = cfg or HampelConfig()
-    # each block reads whole packet rows, so read them from a packet-major
-    # copy when the input is feature-major, as flattened captures are
-    x = np.ascontiguousarray(seq.data)
+    x = seq.data
     w = cfg.window_w
     half = w // 2
     p = seq.n_pkt
@@ -220,50 +177,33 @@ def unwrap_phase(phase_row: np.ndarray) -> np.ndarray:
     return np.concatenate([x[..., :1], x[..., 1:] + adjust], axis=-1)
 
 
-def sanitize_phase(
-    phase: FeatureSequence,
-    cfg: SanitizeConfig | None = None,
-    n_sub: int | None = None,
-) -> FeatureSequence:
+def sanitize_phase(phase: FeatureSequence, n_sub: int | None = None) -> FeatureSequence:
     """Remove the linear-in-subcarrier term from each phase row.
 
-    Rows of length K are formed per packet and antenna pair (``n_sub``
-    defaults to the configured index length, else the full feature width).
-    Per row: optional unwrap, endpoint slope a = (phi_K - phi_1)/(m_K - m_1),
-    offset b = mean(phi), output phi_k - a*m_k -/+ b per ``cfg.offset_sign``.
+    Rows of length K = ``n_sub`` (default: the full feature width) are formed
+    per packet and antenna pair. Per row, after unwrapping: the endpoint
+    slope a = (phi_K - phi_1)/(m_K - m_1) over the centered subcarrier index
+    m_k = k - (K-1)/2, the offset b = mean(phi), and the output
+    phi_k - a*m_k - b. Real subcarrier positions are not modelled.
 
-    The subtraction is arranged so the output's recomputed endpoint slope is
-    exactly zero: the line through the endpoints is evaluated in interpolation
-    form, making both endpoint residuals identically 0.0 before the constant
-    shift.
+    The line through the endpoints is subtracted in interpolation form, so
+    both endpoint residuals are identically 0.0 before the mean is removed
+    and the output's recomputed endpoint slope is exactly zero. Since the
+    centered index has mean 0, subtracting the residual's mean leaves
+    exactly phi_k - a*m_k - b.
     """
-    cfg = cfg or SanitizeConfig()
-    if cfg.subcarrier_index is not None:
-        m = np.asarray(cfg.subcarrier_index, dtype=np.float64)
-        if n_sub is not None and n_sub != m.size:
-            raise ValueError(f"n_sub={n_sub} disagrees with index length {m.size}")
-        k = m.size
-    else:
-        k = n_sub if n_sub is not None else phase.n_feat
-        m = centered_subcarrier_index(k)
+    k = n_sub if n_sub is not None else phase.n_feat
     if k < 2:
         raise ValueError("need at least 2 subcarriers per row")
     if phase.n_feat % k != 0:
         raise ValueError(f"feature width {phase.n_feat} not divisible by K={k}")
 
-    rows = phase.data.reshape(phase.n_pkt, phase.n_feat // k, k)
-    if cfg.unwrap:
-        rows = unwrap_phase(rows)
+    rows = unwrap_phase(phase.data.reshape(phase.n_pkt, phase.n_feat // k, k))
     first = rows[..., :1]
     last = rows[..., -1:]
-    span = m[-1] - m[0]
-    t = (m - m[0]) / span  # t[0] == 0.0 and t[-1] == 1.0 exactly
+    t = np.arange(k) / (k - 1)  # t[0] == 0.0 and t[-1] == 1.0 exactly
     resid = rows - (first * (1.0 - t) + last * t)
-    slope = (last - first) / span
-    shift = resid.mean(axis=-1, keepdims=True) + slope * m.mean()
-    if cfg.offset_sign is OffsetSign.ADD_MEAN:
-        shift = shift - 2.0 * rows.mean(axis=-1, keepdims=True)
-    out = resid - shift
+    out = resid - resid.mean(axis=-1, keepdims=True)
     return FeatureSequence(phase.n_pkt, phase.n_feat, out.reshape(phase.data.shape))
 
 

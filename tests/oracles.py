@@ -30,6 +30,30 @@ def hampel_column(col: np.ndarray, window_w: int, xi: float) -> np.ndarray:
     return out
 
 
+def sanitize_row(row: np.ndarray) -> np.ndarray:
+    """Linear phase sanitization of one subcarrier row, one step at a time.
+
+    Unwrap so each successive difference lies in (-pi, pi], remove the
+    endpoint slope over the centered index m_k = k - (K-1)/2, then remove
+    the mean.
+    """
+    row = [float(v) for v in row]
+    n = len(row)
+    unwrapped = [row[0]]
+    for k in range(1, n):
+        d = row[k] - row[k - 1]
+        while d > np.pi:
+            d -= 2.0 * np.pi
+        while d <= -np.pi:
+            d += 2.0 * np.pi
+        unwrapped.append(unwrapped[-1] + d)
+    m = [k - (n - 1) / 2.0 for k in range(n)]
+    slope = (unwrapped[-1] - unwrapped[0]) / (m[-1] - m[0])
+    detrended = [u - slope * mk for u, mk in zip(unwrapped, m)]
+    mean = sum(detrended) / n
+    return np.array([v - mean for v in detrended])
+
+
 def retrieval_metrics(signatures: np.ndarray, labels: np.ndarray, ks=(1, 3, 5)):
     """Exhaustive leave-one-out retrieval scorer.
 

@@ -1,5 +1,7 @@
 """Container format and manifest round-trip tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -72,6 +74,25 @@ def test_full_size_payload_bytes(tmp_path):
     path = tmp_path / "big.csb"
     write_sample(rec, path)
     assert path.stat().st_size == HEADER_BYTES + 5_472_000
+
+
+def test_read_sample_peak_memory_bounded(tmp_path):
+    # the raw file bytes plus the complex128 payload are 3x the file; a copy
+    # of the payload bytes before decoding would add another 1x
+    rng = np.random.default_rng(2)
+    data = rng.normal(size=(3, 1, 114, 2000)) + 1j * rng.normal(size=(3, 1, 114, 2000))
+    rec = SampleRecord(0, Scenario.TSHIRT, ComplexCsiTensor(3, 1, 114, 2000, data), PayloadKind.COMPLEX)
+    path = tmp_path / "big.csb"
+    write_sample(rec, path)
+    del rec, data
+    tracemalloc.start()
+    try:
+        back = read_sample(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.dims == (3, 1, 114, 2000)
+    assert peak <= 3.5 * path.stat().st_size
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -242,3 +263,23 @@ def test_record_feature_dims_accepted():
     seq = FeatureSequence(4, 6, np.zeros((4, 6)))
     rec = SampleRecord(0, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE, dims=(3, 1, 2, 4))
     assert rec.dims == (3, 1, 2, 4)
+
+
+def test_feature_sequence_rejects_transposed():
+    with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(3, 2\)"):
+        FeatureSequence(3, 2, np.arange(6.0).reshape(2, 3))
+
+
+def test_complex_tensor_rejects_transposed():
+    data = np.arange(6.0).reshape(1, 1, 3, 2) + 0j
+    with pytest.raises(ValueError, match=r"shape \(1, 1, 3, 2\), expected \(1, 1, 2, 3\)"):
+        ComplexCsiTensor(1, 1, 2, 3, data)
+
+
+def test_feature_sequence_fortran_input_c_copy():
+    # flatten_features returns this feature-major layout for every capture
+    data = np.asarray(np.arange(12.0).reshape(4, 3), order="F")
+    seq = FeatureSequence(4, 3, data)
+    assert seq.data.flags.c_contiguous
+    assert not np.shares_memory(seq.data, data)
+    np.testing.assert_array_equal(seq.data, data)

@@ -5,17 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csireid.csi_core import ComplexCsiTensor, FeatureSequence
 from csireid.preprocess import (
     HAMPEL_BLOCK,
     HampelConfig,
-    OffsetSign,
-    SanitizeConfig,
     amplitude_from_complex,
-    centered_subcarrier_index,
     hampel_filter,
     phase_from_complex,
     resample_packets,
@@ -23,7 +20,7 @@ from csireid.preprocess import (
     standardize_features,
     unwrap_phase,
 )
-from tests.oracles import hampel_column
+from tests.oracles import hampel_column, sanitize_row
 
 
 def seq_from_columns(*cols):
@@ -130,13 +127,10 @@ def test_hampel_matches_oracle_property(data):
         assert np.array_equal(out.data[:, j], hampel_column(cols[:, j], w, xi))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_hampel_allocation_bounded(order):
-    # whole-sequence window copies would need about w times the input;
-    # "F" is the feature-major layout that flattened captures have
+def test_hampel_allocation_bounded():
+    # whole-sequence window copies would need about w times the input
     rng = np.random.default_rng(21)
-    data = np.asarray(np.abs(rng.normal(size=(2000, 342))), order=order)
-    seq = FeatureSequence(2000, 342, data)
+    seq = FeatureSequence(2000, 342, np.abs(rng.normal(size=(2000, 342))))
     before = seq.data.copy()
     tracemalloc.start()
     try:
@@ -243,15 +237,15 @@ def test_unwrap_preserves_values_mod_two_pi(rnd):
 
 
 def test_sanitize_removes_pure_linear_phase():
-    m = centered_subcarrier_index(9)
+    m = np.arange(9) - 4.0
     rows = np.tile(0.7 * m + 0.2, (4, 1))
-    out = sanitize_phase(FeatureSequence(4, 9, rows), SanitizeConfig())
+    out = sanitize_phase(FeatureSequence(4, 9, rows))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
 
 def test_sanitize_constant_row_to_zeros():
     rows = np.full((3, 7), 1.3)
-    out = sanitize_phase(FeatureSequence(3, 7, rows), SanitizeConfig())
+    out = sanitize_phase(FeatureSequence(3, 7, rows))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
@@ -259,52 +253,80 @@ def test_sanitize_output_slope_exactly_zero_offset_tiny():
     rng = np.random.default_rng(23)
     k = 11
     rows = rng.uniform(-np.pi, np.pi, size=(50, 3 * k))
-    out = sanitize_phase(FeatureSequence(50, 3 * k, rows), SanitizeConfig(), n_sub=k)
+    out = sanitize_phase(FeatureSequence(50, 3 * k, rows), n_sub=k)
     grouped = out.data.reshape(50, 3, k)
-    m = centered_subcarrier_index(k)
-    slope = (grouped[..., -1] - grouped[..., 0]) / (m[-1] - m[0])
+    slope = (grouped[..., -1] - grouped[..., 0]) / (k - 1)
     assert np.all(slope == 0.0)
     assert np.max(np.abs(grouped.mean(axis=-1))) < 1e-12
 
 
-def test_sanitize_offset_sign_variant_leaves_twice_mean():
-    rng = np.random.default_rng(29)
-    rows = rng.uniform(-1, 1, size=(5, 8))
-    seq = FeatureSequence(5, 8, rows)
-    minus = sanitize_phase(seq, SanitizeConfig(unwrap=False))
-    plus = sanitize_phase(seq, SanitizeConfig(unwrap=False, offset_sign=OffsetSign.ADD_MEAN))
-    b = rows.mean(axis=1, keepdims=True)
-    np.testing.assert_allclose(plus.data, minus.data + 2 * b, atol=1e-12)
-
-
 def test_sanitize_groups_independent():
+    # differences below pi: unwrapping leaves these rows unchanged
     rng = np.random.default_rng(31)
     k = 6
     rows = rng.uniform(-1, 1, size=(4, 2 * k))
-    both = sanitize_phase(FeatureSequence(4, 2 * k, rows), SanitizeConfig(unwrap=False), n_sub=k)
-    left = sanitize_phase(FeatureSequence(4, k, rows[:, :k]), SanitizeConfig(unwrap=False))
+    both = sanitize_phase(FeatureSequence(4, 2 * k, rows), n_sub=k)
+    left = sanitize_phase(FeatureSequence(4, k, rows[:, :k]))
     np.testing.assert_array_equal(both.data[:, :k], left.data)
 
 
-def test_sanitize_custom_index_semantics():
-    m = np.array([0.0, 1.0, 2.0, 5.0])
-    rows = np.array([[1.0, 3.0, 2.0, 7.0]])
-    cfg = SanitizeConfig(subcarrier_index=tuple(m), unwrap=False)
-    out = sanitize_phase(FeatureSequence(1, 4, rows), cfg)
-    a = (rows[0, -1] - rows[0, 0]) / (m[-1] - m[0])
-    want = rows[0] - a * m - rows[0].mean()
-    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
+def _near_odd_pi(d: np.ndarray) -> bool:
+    """True when some difference is within 1e-9 of an odd multiple of pi."""
+    turns = (np.abs(d) - np.pi) / (2.0 * np.pi)
+    return bool(np.any(np.abs(turns - np.round(turns)) * 2.0 * np.pi < 1e-9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sanitize_matches_oracle_property(data):
+    k = data.draw(st.integers(2, 16), label="K")
+    groups = data.draw(st.integers(1, 4), label="groups")
+    p = data.draw(st.integers(1, 5), label="n_pkt")
+    values = data.draw(
+        st.lists(
+            st.floats(-3 * np.pi, 3 * np.pi, allow_nan=False),
+            min_size=p * groups * k,
+            max_size=p * groups * k,
+        ),
+        label="values",
+    )
+    rows = np.array(values).reshape(p, groups, k)
+    # near an odd multiple of pi the two unwraps may round to different turns
+    assume(not _near_odd_pi(np.diff(rows, axis=-1)))
+    out = sanitize_phase(FeatureSequence(p, groups * k, rows.reshape(p, -1)), n_sub=k)
+    got = out.data.reshape(p, groups, k)
+    for i in range(p):
+        for g in range(groups):
+            np.testing.assert_allclose(got[i, g], sanitize_row(rows[i, g]), rtol=0, atol=1e-9)
+    assert np.array_equal(got[..., 0], got[..., -1])
 
 
 def test_sanitize_validation():
     with pytest.raises(ValueError):
-        SanitizeConfig(subcarrier_index=(3.0, 1.0))
+        sanitize_phase(FeatureSequence(2, 7, np.zeros((2, 7))), n_sub=3)
     with pytest.raises(ValueError):
-        SanitizeConfig(subcarrier_index=(1.0,))
-    with pytest.raises(ValueError):
-        sanitize_phase(FeatureSequence(2, 7, np.zeros((2, 7))), SanitizeConfig(), n_sub=3)
-    with pytest.raises(ValueError):
-        sanitize_phase(FeatureSequence(2, 1, np.zeros((2, 1))), SanitizeConfig())
+        sanitize_phase(FeatureSequence(2, 1, np.zeros((2, 1))))
+
+
+# ------------------------------------------------------------------- layout
+
+
+def test_outputs_packet_major():
+    rng = np.random.default_rng(47)
+    data = rng.normal(size=(2, 1, 5, 30)) + 1j * rng.normal(size=(2, 1, 5, 30))
+    csi = ComplexCsiTensor(2, 1, 5, 30, data)
+    amp = amplitude_from_complex(csi)
+    phase = phase_from_complex(csi)
+    outputs = [
+        amp,
+        phase,
+        hampel_filter(amp),
+        sanitize_phase(phase, n_sub=5),
+        resample_packets(amp, 12),
+        standardize_features(amp),
+    ]
+    for seq in outputs:
+        assert seq.data.flags.c_contiguous
 
 
 # ----------------------------------------------------------------- resample
