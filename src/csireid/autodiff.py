@@ -4,15 +4,19 @@ Forward ops build a single-use graph of closures; backward walks it once in
 topological order and accumulates gradients into every requires_grad leaf.
 Also home to the Adam optimizer, the step-decay learning-rate schedule, the
 finite-difference gradient checker, and the binary parameter checkpoint
-format shared by all models.
+format shared by all models, which is read, encoded and written with the
+codec in :mod:`csireid.csi_core`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from csireid.csi_core import BinaryReader, f32_bytes, write_file
 
 _DEBUG_FINITE = False
 
@@ -400,13 +404,6 @@ def unstack_axis1(a: DiffTensor) -> list[DiffTensor]:
     return outs
 
 
-def sum_all(a: DiffTensor) -> DiffTensor:
-    """Scalar sum of all entries, composed from reshape/mean/mul."""
-    n = a.values.size
-    flat = reshape(a, (1, n))
-    return mul(mean_axis(flat, axis=1), constant(np.array([float(n)])))
-
-
 # --------------------------------------------------------------- backward
 
 
@@ -561,11 +558,9 @@ def write_tensor_file(path, named: dict[str, np.ndarray]) -> None:
     UTF-8 name, u8 rank, u32 dims, and f32 little-endian values.
 
     Values that do not survive the f32 cast finitely are rejected before the
-    file is opened.
+    file is created.
     """
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", len(named))
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(named))]
     for name, arr in named.items():
         arr = np.asarray(arr, dtype=np.float64)
         encoded = name.encode("utf-8")
@@ -573,51 +568,40 @@ def write_tensor_file(path, named: dict[str, np.ndarray]) -> None:
             raise ValueError(f"tensor name too long: {name!r}")
         if arr.ndim > 0xFF:
             raise ValueError("tensor rank exceeds format limit")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<B", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        with np.errstate(over="ignore"):
-            values = np.ascontiguousarray(arr, dtype="<f4")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"tensor {name!r} not representable as finite f32")
-        blob += values.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(blob)
+        chunks += [
+            struct.pack("<H", len(encoded)),
+            encoded,
+            struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+            f32_bytes(arr, f"tensor {name!r}"),
+        ]
+    write_file(path, *chunks)
 
 
 def read_tensor_file(path) -> dict[str, np.ndarray]:
     """Read a tensor file written by :func:`write_tensor_file`.
 
-    Duplicate names and non-finite values are format errors.
+    Duplicate names, names that are not UTF-8 and non-finite values are
+    format errors.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8 or raw[:4] != CHECKPOINT_MAGIC:
+    reader = BinaryReader(path, CheckpointFormatError)
+    magic, count = reader.unpack("<4sI", "checkpoint header")
+    if magic != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad checkpoint magic")
-    (count,) = struct.unpack_from("<I", raw, 4)
-    offset = 8
     out: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", raw, offset)
-            offset += 2
-            name = raw[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", raw, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", raw, offset)
-            offset += 4 * rank
-            n = int(np.prod(dims)) if rank else 1
-            values = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-            offset += 4 * n
-            if name in out:
-                raise CheckpointFormatError(f"{path}: duplicate tensor {name!r}")
-            if not np.all(np.isfinite(values)):
-                raise CheckpointFormatError(f"{path}: tensor {name!r} has non-finite values")
-            out[name] = values.astype(np.float64).reshape(dims)
-    except (struct.error, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: truncated checkpoint") from exc
-    if offset != len(raw):
-        raise CheckpointFormatError(f"{path}: trailing bytes in checkpoint")
+    for i in range(count):
+        (name_len,) = reader.unpack("<H", f"tensor {i} name length")
+        (encoded,) = reader.unpack(f"<{name_len}s", f"tensor {i} name")
+        try:
+            name = encoded.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{path}: tensor {i} name is not valid UTF-8") from exc
+        if name in out:
+            raise CheckpointFormatError(f"{path}: duplicate tensor {name!r}")
+        (rank,) = reader.unpack("<B", f"tensor {name!r} rank")
+        dims = reader.unpack(f"<{rank}I", f"tensor {name!r} dims")
+        values = reader.array("<f4", math.prod(dims), f"tensor {name!r} values")
+        if not np.all(np.isfinite(values)):
+            raise CheckpointFormatError(f"{path}: tensor {name!r} has non-finite values")
+        out[name] = values.reshape(dims)
+    reader.finish()
     return out

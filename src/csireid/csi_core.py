@@ -1,15 +1,19 @@
-"""Core CSI sample types and the portable CSB on-disk format.
+"""Core CSI sample types, the portable CSB on-disk format and its codec.
 
 A capture is either a complex CFR tensor over (rx, tx, subcarrier, packet)
 or an already-extracted real feature sequence over (packet, feature).
 Samples are stored in CSB files (binary, little-endian, f32 payload) and
 indexed by a plain CSV manifest, so fixtures are bit-exact and language
 neutral.
+
+CSB files here and the checkpoints of :mod:`csireid.autodiff` share one
+codec: :class:`BinaryReader`, :func:`f32_bytes` and :func:`write_file`.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 CSB_MAGIC = b"CSI1"
-_HEADER = struct.Struct("<4sBBIIIII")  # magic, kind, scenario, subject, 4 dims
+_HEADER = "<4sBBIIIII"  # magic, kind, scenario, subject, 4 dims
 
 MANIFEST_COLUMNS = ("path", "subject_id", "scenario", "split")
 SPLITS = ("train", "test")
@@ -151,14 +155,66 @@ class Manifest:
 
     entries: list[ManifestEntry] = field(default_factory=list)
 
-    def paths(self, split: str | None = None) -> list[str]:
-        return [e.path for e in self.entries if split is None or e.split == split]
 
-    def split_counts(self) -> dict[str, int]:
-        counts = {s: 0 for s in SPLITS}
-        for e in self.entries:
-            counts[e.split] += 1
-        return counts
+class BinaryReader:
+    """Reads one file front to back; every fault raises the caller's ``error``
+    type naming the path: a field that runs past the end, or trailing bytes.
+    """
+
+    def __init__(self, path: str | Path, error: type[Exception]):
+        self.path = path
+        self._error = error
+        with open(path, "rb") as fh:
+            self.raw = fh.read()
+        self.offset = 0
+
+    def _advance(self, size: int, what: str) -> int:
+        start = self.offset
+        left = len(self.raw) - start
+        if size > left:
+            raise self._error(f"{self.path}: {what} truncated ({left} bytes left, needs {size})")
+        self.offset = start + size
+        return start
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.raw, self._advance(struct.calcsize(fmt), what))
+
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """``count`` "<f4" or "<c8" values widened to float64 or complex128;
+        the caller checks them for non-finite values, once per payload."""
+        start = self._advance(count * np.dtype(dtype).itemsize, what)
+        values = np.frombuffer(self.raw, dtype, count=count, offset=start)
+        with np.errstate(invalid="ignore"):  # a signaling NaN warns in the cast
+            return values.astype(np.promote_types(dtype, np.float64))
+
+    def finish(self) -> None:
+        if self.offset != len(self.raw):
+            raise self._error(f"{self.path}: {len(self.raw) - self.offset} trailing bytes")
+
+
+def f32_bytes(values: np.ndarray, what: str) -> bytes:
+    """Little-endian f32 bytes of ``values`` (complex as real/imag pairs);
+    ValueError naming ``what`` if a value is not finite after the cast."""
+    dtype = "<c8" if np.iscomplexobj(values) else "<f4"
+    with np.errstate(over="ignore"):
+        cast = np.ascontiguousarray(values, dtype=dtype)
+    if not np.all(np.isfinite(cast)):
+        raise ValueError(f"{what} not representable as finite f32")
+    return cast.tobytes()
+
+
+def write_file(path: str | Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``<path>.tmp`` and rename it over ``path``, so an
+    interrupted write keeps the old file whole (no fsync: not power-safe)."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_sample(record: SampleRecord, path: str | Path) -> None:
@@ -166,29 +222,13 @@ def write_sample(record: SampleRecord, path: str | Path) -> None:
 
     Payload values are stored as little-endian f32 (complex payloads store
     interleaved real/imag pairs). Values that do not survive the f32 cast
-    finitely are rejected.
+    finitely are rejected before the file is created.
     """
-    rx, tx, sub, pkt = record.dims
-    with np.errstate(over="ignore"):
-        if record.payload_kind == PayloadKind.COMPLEX:
-            payload = np.ascontiguousarray(record.payload.data).astype("<c8")
-        else:
-            payload = np.ascontiguousarray(record.payload.data).astype("<f4")
-    if not np.all(np.isfinite(payload)):
-        raise ValueError("payload not representable as finite f32")
-    header = _HEADER.pack(
-        CSB_MAGIC,
-        int(record.payload_kind),
-        int(record.scenario),
-        record.subject_id,
-        rx,
-        tx,
-        sub,
-        pkt,
+    payload = f32_bytes(record.payload.data, "payload")
+    header = struct.pack(
+        _HEADER, CSB_MAGIC, record.payload_kind, record.scenario, record.subject_id, *record.dims
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
+    write_file(path, header, payload)
 
 
 def read_sample(path: str | Path) -> SampleRecord:
@@ -196,11 +236,8 @@ def read_sample(path: str | Path) -> SampleRecord:
 
     A payload holding NaN or inf is a format error.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise CsbFormatError(f"{path}: file shorter than header")
-    magic, kind_b, scen_b, subject, rx, tx, sub, pkt = _HEADER.unpack_from(raw)
+    reader = BinaryReader(path, CsbFormatError)
+    magic, kind_b, scen_b, subject, rx, tx, sub, pkt = reader.unpack(_HEADER, "header")
     if magic != CSB_MAGIC:
         raise CsbFormatError(f"{path}: bad magic {magic!r}")
     try:
@@ -208,30 +245,17 @@ def read_sample(path: str | Path) -> SampleRecord:
         scenario = Scenario(scen_b)
     except ValueError as exc:
         raise CsbFormatError(f"{path}: {exc}") from exc
-    if min(rx, tx, sub, pkt) < 1:
-        raise CsbFormatError(f"{path}: zero dimension in header")
-    n_values = rx * tx * sub * pkt
-    itemsize = 8 if kind == PayloadKind.COMPLEX else 4
-    expected = n_values * itemsize
-    n_body = len(raw) - _HEADER.size
-    if n_body < expected:
-        raise CsbFormatError(
-            f"{path}: payload truncated ({n_body} bytes, header promises {expected})"
-        )
-    if n_body > expected:
-        raise CsbFormatError(f"{path}: {n_body - expected} trailing bytes")
+    is_complex = kind == PayloadKind.COMPLEX
+    values = reader.array("<c8" if is_complex else "<f4", rx * tx * sub * pkt, "payload")
+    reader.finish()
     try:
-        if kind == PayloadKind.COMPLEX:
-            values = np.frombuffer(raw, "<c8", count=n_values, offset=_HEADER.size)
-            values = values.astype(np.complex128)
+        if is_complex:
             payload: ComplexCsiTensor | FeatureSequence = ComplexCsiTensor(
                 rx, tx, sub, pkt, values.reshape(rx, tx, sub, pkt)
             )
         else:
-            values = np.frombuffer(raw, "<f4", count=n_values, offset=_HEADER.size)
-            values = values.astype(np.float64)
             payload = FeatureSequence(pkt, rx * tx * sub, values.reshape(pkt, rx * tx * sub))
-    except ValueError as exc:  # the payload constructors reject non-finite values
+    except ValueError as exc:  # the payload constructors reject zero dims and non-finite values
         raise CsbFormatError(f"{path}: {exc}") from exc
     return SampleRecord(subject, scenario, payload, kind, dims=(rx, tx, sub, pkt))
 
@@ -280,28 +304,14 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
             writer.writerow([e.path, e.subject_id, e.scenario.name.lower(), e.split])
 
 
-def feature_index(rx: int, tx: int, sub: int, n_tx: int, n_sub: int) -> int:
-    """Column of the (rx, tx, subcarrier) triple in a flattened sequence."""
-    return (rx * n_tx + tx) * n_sub + sub
-
-
 def flatten_features(values: np.ndarray) -> np.ndarray:
     """Flatten per-entry values (rx, tx, sub, pkt) to a (pkt, feature) matrix.
 
-    Column order is antenna-pair major, subcarrier minor; see
-    :func:`feature_index`.
+    Column order is antenna-pair major, subcarrier minor: entry
+    (r, t, s) lands in column ``(r * n_tx + t) * n_sub + s``.
     """
     values = np.asarray(values)
     if values.ndim != 4:
         raise ValueError(f"expected a 4-d array, got shape {values.shape}")
     rx, tx, sub, pkt = values.shape
     return np.moveaxis(values, -1, 0).reshape(pkt, rx * tx * sub)
-
-
-def unflatten_features(seq: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
-    """Inverse of :func:`flatten_features` for a known (rx, tx, sub, pkt)."""
-    rx, tx, sub, pkt = dims
-    seq = np.asarray(seq)
-    if seq.shape != (pkt, rx * tx * sub):
-        raise ValueError(f"sequence shape {seq.shape} does not match dims {dims}")
-    return np.moveaxis(seq.reshape(pkt, rx, tx, sub), 0, -1)

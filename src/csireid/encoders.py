@@ -16,7 +16,6 @@ import numpy as np
 from csireid import autodiff as ad
 
 ARCHES = ("lstm", "bilstm", "transformer")
-POOLINGS = ("mean_time", "last_step")
 
 
 @dataclass(frozen=True)
@@ -25,10 +24,8 @@ class EncoderConfig:
     layers_l: int = 1
     hidden_d: int = 128
     heads: int = 4
-    ff_dim: int | None = None  # None means 4 * hidden_d
     dropout_pd: float = 0.1
     signature_dim_s: int = 128
-    pooling: str = "mean_time"
 
     def __post_init__(self) -> None:
         if self.arch not in ARCHES:
@@ -39,19 +36,11 @@ class EncoderConfig:
             raise ValueError("hidden_d and signature_dim_s must be >= 1")
         if not 0.0 <= self.dropout_pd < 1.0:
             raise ValueError("dropout_pd must be in [0, 1)")
-        if self.pooling not in POOLINGS:
-            raise ValueError(f"pooling must be one of {POOLINGS}")
         if self.arch == "transformer":
             if self.heads < 1 or self.hidden_d % self.heads != 0:
                 raise ValueError("hidden_d must be divisible by heads")
             if self.hidden_d % 2 != 0:
                 raise ValueError("transformer hidden_d must be even")
-        if self.ff_dim is not None and self.ff_dim < 1:
-            raise ValueError("ff_dim must be >= 1")
-
-    @property
-    def ff_width(self) -> int:
-        return self.ff_dim if self.ff_dim is not None else 4 * self.hidden_d
 
     @property
     def encoder_out_dim(self) -> int:
@@ -95,7 +84,7 @@ def _join(parts: list[ad.DiffTensor], axis: int) -> ad.DiffTensor:
 # ---------------------------------------------------------------- attention
 
 
-def multi_head_attention(x, weights: dict, heads: int, return_weights: bool = False):
+def multi_head_attention(x, weights: dict, heads: int) -> ad.DiffTensor:
     """Scaled dot-product self-attention over the packet axis of (B, P, d).
 
     ``weights`` holds the fused projections wq/wk/wv/wo with biases; heads
@@ -122,10 +111,7 @@ def multi_head_attention(x, weights: dict, heads: int, return_weights: bool = Fa
     attn = ad.softmax_axis(scores, axis=3)
     mixed = ad.matmul(attn, v)
     merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, p, d))
-    out = _linear(weights, "wo", merged)
-    if return_weights:
-        return out, attn.values.copy()
-    return out
+    return _linear(weights, "wo", merged)
 
 
 def attention_params(rng: np.random.Generator, d: int) -> dict:
@@ -236,7 +222,8 @@ def _transformer_block_params(rng: np.random.Generator, d: int, ff: int) -> dict
 
 
 class TransformerEncoder:
-    """Post-norm encoder stack over projected inputs plus position table."""
+    """Post-norm encoder stack over projected inputs plus position table, with
+    ``4 * hidden_d`` wide feed-forward layers and mean pooling over packets."""
 
     def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
         self.cfg = cfg
@@ -247,7 +234,7 @@ class TransformerEncoder:
             "in.b": ad.parameter(np.zeros(d), "in.b"),
         }
         self.blocks = [
-            _transformer_block_params(rng, d, cfg.ff_width) for _ in range(cfg.layers_l)
+            _transformer_block_params(rng, d, 4 * d) for _ in range(cfg.layers_l)
         ]
 
     def named_params(self) -> dict[str, ad.DiffTensor]:
@@ -271,9 +258,7 @@ class TransformerEncoder:
             h = ad.layer_norm(ad.add(h, ff), block["ln2.g"], block["ln2.b"])
             if idx != len(self.blocks) - 1:
                 h = ad.dropout(h, 1.0 - self.cfg.dropout_pd, rng, training)
-        if self.cfg.pooling == "mean_time":
-            return ad.mean_axis(h, axis=1)
-        return ad.take_slice(h, (slice(None), p - 1, slice(None)))
+        return ad.mean_axis(h, axis=1)
 
 
 # ----------------------------------------------------------- signature head

@@ -6,6 +6,45 @@ sorts, no vectorization tricks. Tests compare library output against these.
 
 import numpy as np
 
+from csireid import autodiff as ad
+
+
+def sum_all(a: ad.DiffTensor) -> ad.DiffTensor:
+    """Scalar sum of all entries, composed from reshape/mean/mul."""
+    n = a.values.size
+    flat = ad.reshape(a, (1, n))
+    return ad.mul(ad.mean_axis(flat, axis=1), ad.constant(np.array([float(n)])))
+
+
+def flat_column(rx: int, tx: int, sub: int, n_tx: int, n_sub: int) -> int:
+    """Column of the (rx, tx, subcarrier) entry in a flattened sequence."""
+    return (rx * n_tx + tx) * n_sub + sub
+
+
+def attention(x: np.ndarray, weights: dict, heads: int):
+    """Self-attention over (B, P, d) one sample, head and query at a time.
+
+    ``weights`` maps wq/wk/wv/wo ``.w``/``.b`` names to arrays. Returns the
+    (B, P, d) output and the (B, heads, P, P) softmax weights.
+    """
+    b, p, d = x.shape
+    dh = d // heads
+    out = np.empty((b, p, d))
+    probs = np.empty((b, heads, p, p))
+    for n in range(b):
+        q, k, v = (x[n] @ weights[f"{w}.w"] + weights[f"{w}.b"] for w in ("wq", "wk", "wv"))
+        merged = np.empty((p, d))
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            for i in range(p):
+                scores = [float(q[i, cols] @ k[j, cols]) / np.sqrt(dh) for j in range(p)]
+                top = max(scores)
+                e = [np.exp(s - top) for s in scores]
+                probs[n, h, i] = [ej / sum(e) for ej in e]
+                merged[i, cols] = sum(probs[n, h, i, j] * v[j, cols] for j in range(p))
+        out[n] = merged @ weights["wo.w"] + weights["wo.b"]
+    return out, probs
+
 
 def sorted_median(values: np.ndarray) -> float:
     """Textbook median: sort, take the middle (average the two middles)."""

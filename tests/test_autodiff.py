@@ -1,11 +1,14 @@
 """Gradient-checker, optimizer, schedule, and checkpoint tests."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csireid import autodiff as ad
+from tests.oracles import sum_all
 
 TOL = 1e-6
 
@@ -17,7 +20,7 @@ def rand(shape, seed, lo=-1.0, hi=1.0):
 def weighted_sum(out, seed=100):
     """Scalar loss with a fixed random weighting so gradients are generic."""
     w = ad.constant(rand(out.values.shape, seed))
-    return ad.sum_all(ad.mul(out, w))
+    return sum_all(ad.mul(out, w))
 
 
 # ---------------------------------------------------------------- forward
@@ -73,13 +76,13 @@ def test_debug_mode_flags_nonfinite():
 
 def test_backward_sum_gives_ones():
     x = ad.parameter(rand((4, 3), 3))
-    ad.backward(ad.sum_all(x))
+    ad.backward(sum_all(x))
     np.testing.assert_array_equal(x.grad, np.ones((4, 3)))
 
 
 def test_backward_sum_of_squares():
     x = ad.parameter(rand((1, 5), 4))
-    ad.backward(ad.sum_all(ad.mul(x, x)))
+    ad.backward(sum_all(ad.mul(x, x)))
     np.testing.assert_allclose(x.grad, 2 * x.values, atol=1e-12)
 
 
@@ -92,12 +95,12 @@ def test_backward_rejects_nonscalar():
 def test_backward_graph_single_use():
     x = ad.parameter(rand((2, 2), 6))
     mid = ad.tanh(x)
-    loss = ad.sum_all(mid)
+    loss = sum_all(mid)
     ad.backward(loss)
     with pytest.raises(RuntimeError):
         ad.backward(loss)
     with pytest.raises(RuntimeError):
-        ad.sum_all(mid)
+        sum_all(mid)
 
 
 def test_gradient_accumulation_linear():
@@ -105,10 +108,10 @@ def test_gradient_accumulation_linear():
     alpha, beta = 0.7, -1.3
 
     def l1():
-        return ad.sum_all(ad.tanh(x))
+        return sum_all(ad.tanh(x))
 
     def l2():
-        return ad.sum_all(ad.mul(x, x))
+        return sum_all(ad.mul(x, x))
 
     ad.backward(l1())
     g1 = x.grad.copy()
@@ -128,7 +131,7 @@ def test_shared_subexpression_fan_out():
     # h feeds two consumers; its upstream must receive both contributions
     x = ad.parameter(np.array([[0.3, -0.7]]))
     h = ad.tanh(x)
-    loss = ad.sum_all(ad.add(ad.mul(h, h), h))
+    loss = sum_all(ad.add(ad.mul(h, h), h))
     ad.backward(loss)
     t = np.tanh(x.values)
     want = (2 * t + 1) * (1 - t**2)
@@ -142,14 +145,14 @@ def test_grad_check_sum_exact():
     # zeros keep x +/- eps and the sum exactly representable, so the
     # central difference is exactly 1 and the reported error exactly 0
     x = ad.parameter(np.zeros((3, 4)))
-    assert ad.grad_check(lambda t: ad.sum_all(t), x) == 0.0
+    assert ad.grad_check(lambda t: sum_all(t), x) == 0.0
     y = ad.parameter(rand((3, 4), 8))
-    assert ad.grad_check(lambda t: ad.sum_all(t), y) < 1e-12
+    assert ad.grad_check(lambda t: sum_all(t), y) < 1e-12
 
 
 def test_grad_check_tanh():
     x = ad.parameter(rand((4, 5), 9))
-    assert ad.grad_check(lambda t: ad.sum_all(ad.tanh(t)), x) < TOL
+    assert ad.grad_check(lambda t: sum_all(ad.tanh(t)), x) < TOL
 
 
 def check_unary(build, x):
@@ -285,10 +288,10 @@ def test_unstack_matches_take_slice():
     x1 = ad.parameter(rand((2, 4, 3), 50))
     x2 = ad.parameter(x1.values.copy())
     w = [rand((2, 3), 60 + t) for t in range(4)]
-    loss1 = ad.sum_all(
+    loss1 = sum_all(
         ad.concat([ad.mul(s, ad.constant(w[t])) for t, s in enumerate(ad.unstack_axis1(x1))], axis=1)
     )
-    loss2 = ad.sum_all(
+    loss2 = sum_all(
         ad.concat(
             [
                 ad.mul(ad.take_slice(x2, (slice(None), t, slice(None))), ad.constant(w[t]))
@@ -306,7 +309,7 @@ def test_unstack_partial_consumption():
     # gradient must still land even when only some steps reach the loss
     x = ad.parameter(rand((1, 3, 2), 51))
     steps = ad.unstack_axis1(x)
-    ad.backward(ad.sum_all(steps[1]))
+    ad.backward(sum_all(steps[1]))
     want = np.zeros((1, 3, 2))
     want[0, 1, :] = 1.0
     np.testing.assert_array_equal(x.grad, want)
@@ -477,6 +480,11 @@ def _duplicate_tensor(raw: bytes) -> bytes:
     return raw[:4] + (2).to_bytes(4, "little") + raw[8:] + raw[8:]
 
 
+def _non_utf8_name(raw: bytes) -> bytes:
+    # the first name byte follows the magic, the count and the u16 length
+    return raw[:10] + b"\xff" + raw[11:]
+
+
 def _nonfinite_last_value(value):
     def corrupt(raw: bytes) -> bytes:
         return raw[:-4] + np.array([value], dtype="<f4").tobytes()
@@ -490,8 +498,9 @@ def _nonfinite_last_value(value):
         (_duplicate_tensor, "duplicate tensor 'w'"),
         (_nonfinite_last_value(np.nan), "'w' has non-finite"),
         (_nonfinite_last_value(np.inf), "'w' has non-finite"),
+        (_non_utf8_name, "tensor 0 name is not valid UTF-8"),
     ],
-    ids=["duplicate", "nan", "inf"],
+    ids=["duplicate", "nan", "inf", "non-utf8-name"],
 )
 def test_checkpoint_read_rejects_bad_tensors(tmp_path, corrupt, message):
     path = tmp_path / "model.ckpt"
@@ -499,3 +508,18 @@ def test_checkpoint_read_rejects_bad_tensors(tmp_path, corrupt, message):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ad.CheckpointFormatError, match=message):
         ad.read_tensor_file(path)
+
+
+def test_checkpoint_interrupted_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    ad.write_tensor_file(path, {"w": rand((2, 2), 48)})
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        ad.write_tensor_file(path, {"w": rand((3, 3), 49)})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -1,12 +1,15 @@
 """Container format and manifest round-trip tests."""
 
 import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csireid import autodiff as ad
 from csireid.csi_core import (
     ComplexCsiTensor,
     CsbFormatError,
@@ -16,14 +19,13 @@ from csireid.csi_core import (
     PayloadKind,
     SampleRecord,
     Scenario,
-    feature_index,
     flatten_features,
     load_manifest,
     read_sample,
     save_manifest,
-    unflatten_features,
     write_sample,
 )
+from tests.oracles import flat_column
 
 HEADER_BYTES = 26
 
@@ -144,17 +146,74 @@ def small_amplitude_record():
 
 
 @pytest.mark.parametrize(
-    "make_record, bad",
-    [(small_amplitude_record, np.nan), (small_complex_record, np.inf)],
-    ids=["nan-amplitude", "inf-complex"],
+    "make_record, bits",
+    [
+        (small_amplitude_record, 0x7FC00000),
+        (small_complex_record, 0x7F800000),
+        # a signaling NaN warns when cast to float64; the warning must not escape
+        (small_amplitude_record, 0x7F800001),
+        (small_complex_record, 0x7F800001),
+    ],
+    ids=["nan-amplitude", "inf-complex", "snan-amplitude", "snan-complex"],
 )
-def test_nonfinite_payload_read_rejected(tmp_path, make_record, bad):
+def test_nonfinite_payload_read_rejected(tmp_path, make_record, bits):
     path = tmp_path / "s.csb"
     write_sample(make_record(), path)
     # overwrite the last f32 of the payload
-    path.write_bytes(path.read_bytes()[:-4] + np.array([bad], dtype="<f4").tobytes())
-    with pytest.raises(CsbFormatError, match=f"{path.name}.*non-finite"):
-        read_sample(path)
+    path.write_bytes(path.read_bytes()[:-4] + bits.to_bytes(4, "little"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsbFormatError, match=f"{path.name}.*non-finite"):
+            read_sample(path)
+
+
+def _mutants(raw: bytes):
+    """Every truncation and every single-bit flip of ``raw``."""
+    for n in range(len(raw)):
+        yield raw[:n]
+    for i in range(len(raw)):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << bit
+            yield bytes(flipped)
+
+
+def _exact(shape, seed):
+    values = np.random.default_rng(seed).normal(size=shape)
+    return values.astype(np.float32).astype(np.float64)
+
+
+@pytest.mark.parametrize("kind", ["complex", "amplitude", "checkpoint"])
+def test_mutants_rejected_or_round_trip_exactly(tmp_path, kind):
+    # each mutant either raises the format's declared error or reads back
+    # to a value that writes the very same bytes
+    src, dst = tmp_path / "mutant", tmp_path / "back"
+    if kind == "checkpoint":
+        tensors = {"w": _exact((2, 3), 1), "b": _exact((3,), 2), "s": _exact((), 3)}
+        ad.write_tensor_file(src, tensors)
+        error = ad.CheckpointFormatError
+
+        def round_trip():
+            ad.write_tensor_file(dst, ad.read_tensor_file(src))
+
+    else:
+        rec = small_complex_record() if kind == "complex" else small_amplitude_record()
+        write_sample(rec, src)
+        error = CsbFormatError
+
+        def round_trip():
+            write_sample(read_sample(src), dst)
+
+    accepted = 0
+    for mutant in _mutants(src.read_bytes()):
+        src.write_bytes(mutant)
+        try:
+            round_trip()
+        except error:
+            continue
+        accepted += 1
+        assert dst.read_bytes() == mutant
+    assert accepted > 0
 
 
 def test_manifest_round_trip(tmp_path):
@@ -170,8 +229,8 @@ def test_manifest_round_trip(tmp_path):
     assert b"\r" not in text
     back = load_manifest(path)
     assert back.entries == entries
-    assert back.split_counts() == {"train": 2, "test": 2}
-    assert back.paths("train") == ["a/0.csb", "b/0.csb"]
+    assert Counter(e.split for e in back.entries) == {"train": 2, "test": 2}
+    assert [e.path for e in back.entries if e.split == "train"] == ["a/0.csb", "b/0.csb"]
 
 
 def test_manifest_large_split(tmp_path):
@@ -182,7 +241,7 @@ def test_manifest_large_split(tmp_path):
     path = tmp_path / "manifest.csv"
     save_manifest(Manifest(entries), path)
     back = load_manifest(path)
-    assert back.split_counts() == {"train": 546, "test": 294}
+    assert Counter(e.split for e in back.entries) == {"train": 546, "test": 294}
 
 
 def test_manifest_unknown_split_rejected(tmp_path):
@@ -222,23 +281,6 @@ def test_manifest_bad_header_rejected(tmp_path):
         load_manifest(path)
 
 
-def test_flatten_column_order():
-    rx, tx, sub, pkt = 2, 1, 3, 4
-    values = np.arange(rx * tx * sub * pkt, dtype=float).reshape(rx, tx, sub, pkt)
-    seq = flatten_features(values)
-    assert seq.shape == (pkt, rx * tx * sub)
-    for r in range(rx):
-        for t in range(tx):
-            for s in range(sub):
-                col = feature_index(r, t, s, tx, sub)
-                np.testing.assert_array_equal(seq[:, col], values[r, t, s, :])
-
-
-def test_flatten_full_dims_shape():
-    values = np.zeros((3, 1, 114, 2000))
-    assert flatten_features(values).shape == (2000, 342)
-
-
 @given(
     st.integers(1, 3),
     st.integers(1, 2),
@@ -246,11 +288,22 @@ def test_flatten_full_dims_shape():
     st.integers(1, 4),
     st.randoms(use_true_random=False),
 )
-def test_flatten_unflatten_round_trip(rx, tx, sub, pkt, rnd):
+def test_flatten_column_order(rx, tx, sub, pkt, rnd):
+    # every column equals its source entry, so nothing is lost or mixed
     rng = np.random.default_rng(rnd.getrandbits(32))
     values = rng.normal(size=(rx, tx, sub, pkt))
-    back = unflatten_features(flatten_features(values), (rx, tx, sub, pkt))
-    np.testing.assert_array_equal(back, values)
+    seq = flatten_features(values)
+    assert seq.shape == (pkt, rx * tx * sub)
+    for r in range(rx):
+        for t in range(tx):
+            for s in range(sub):
+                col = flat_column(r, t, s, tx, sub)
+                np.testing.assert_array_equal(seq[:, col], values[r, t, s, :])
+
+
+def test_flatten_full_dims_shape():
+    values = np.zeros((3, 1, 114, 2000))
+    assert flatten_features(values).shape == (2000, 342)
 
 
 def test_record_dims_mismatch_rejected():

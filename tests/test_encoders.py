@@ -16,8 +16,9 @@ from csireid.encoders import (
     positional_encoding,
     signature_tensor,
 )
+from tests.oracles import attention, sum_all
 
-TINY = dict(layers_l=1, hidden_d=4, heads=2, ff_dim=6, signature_dim_s=3, dropout_pd=0.0)
+TINY = dict(layers_l=1, hidden_d=4, heads=2, signature_dim_s=3, dropout_pd=0.0)
 
 
 def tiny_cfg(arch, **over):
@@ -76,12 +77,17 @@ def test_attention_uniform_when_queries_vanish():
     np.testing.assert_allclose(out.values[0], np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
 
-def test_attention_weight_rows_sum_to_one():
+def test_attention_matches_oracle():
     rng = np.random.default_rng(2)
     weights = attention_params(rng, 6)
-    x = ad.constant(rng.normal(size=(1, 5, 6)))
-    _, attn = multi_head_attention(x, weights, heads=3, return_weights=True)
-    np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
+    for name, t in weights.items():
+        if name.endswith(".b"):
+            t.values[:] = rng.normal(size=t.values.shape)
+    x = ad.constant(rng.normal(size=(2, 5, 6)))
+    out = multi_head_attention(x, weights, heads=3)
+    want, probs = attention(x.values, {k: t.values for k, t in weights.items()}, heads=3)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(out.values, want, atol=1e-12)
 
 
 def test_attention_grad_check():
@@ -93,7 +99,7 @@ def test_attention_grad_check():
     def f(ts):
         out = multi_head_attention(x, weights, heads=2)
         w = ad.constant(np.random.default_rng(9).normal(size=out.values.shape))
-        return ad.sum_all(ad.mul(out, w))
+        return sum_all(ad.mul(out, w))
 
     assert ad.grad_check(f, tensors) < 1e-5
 
@@ -137,7 +143,7 @@ def test_lstm_grad_through_time():
     def f(ts):
         out = enc.encode(x)
         w = ad.constant(np.random.default_rng(10).normal(size=out.values.shape))
-        return ad.sum_all(ad.mul(out, w))
+        return sum_all(ad.mul(out, w))
 
     assert ad.grad_check(f, tensors) < 1e-5
 
@@ -188,25 +194,12 @@ def test_bilstm_grad_check():
     def f(ts):
         out = enc.encode(x)
         w = ad.constant(np.random.default_rng(18).normal(size=out.values.shape))
-        return ad.sum_all(ad.mul(out, w))
+        return sum_all(ad.mul(out, w))
 
     assert ad.grad_check(f, [x, *enc.named_params().values()]) < 1e-5
 
 
 # --------------------------------------------------------------- transformer
-
-
-def test_transformer_single_packet_pooling_equivalence():
-    data = np.random.default_rng(19).normal(size=(1, 5))
-    seq = FeatureSequence(1, 5, data)
-    rng_seed = 20
-    cfg_mean = tiny_cfg("transformer", pooling="mean_time")
-    cfg_last = tiny_cfg("transformer", pooling="last_step")
-    enc_mean = TransformerEncoder(cfg_mean, 5, np.random.default_rng(rng_seed))
-    enc_last = TransformerEncoder(cfg_last, 5, np.random.default_rng(rng_seed))
-    a = enc_mean.encode(batch(seq))
-    b = enc_last.encode(batch(seq))
-    np.testing.assert_allclose(a.values, b.values, atol=1e-15)
 
 
 def test_transformer_packet_order_matters():
@@ -227,7 +220,7 @@ def test_transformer_grad_check():
     def f(ts):
         out = enc.encode(x)
         w = ad.constant(np.random.default_rng(25).normal(size=out.values.shape))
-        return ad.sum_all(ad.mul(out, w))
+        return sum_all(ad.mul(out, w))
 
     assert ad.grad_check(f, [x, *enc.named_params().values()]) < 1e-4
 
@@ -394,7 +387,7 @@ def test_end_to_end_input_gradient_all_archs():
         def f(t):
             out = model.signatures(t)
             w = ad.constant(np.random.default_rng(31).normal(size=out.values.shape))
-            return ad.sum_all(ad.mul(out, w))
+            return sum_all(ad.mul(out, w))
 
         assert ad.grad_check(f, x) < 1e-3
 
@@ -408,5 +401,3 @@ def test_config_validation():
         EncoderConfig(layers_l=0)
     with pytest.raises(ValueError):
         EncoderConfig(dropout_pd=1.0)
-    with pytest.raises(ValueError):
-        EncoderConfig(pooling="max")
