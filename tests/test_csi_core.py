@@ -281,17 +281,9 @@ def test_manifest_bad_header_rejected(tmp_path):
         load_manifest(path)
 
 
-@given(
-    st.integers(1, 3),
-    st.integers(1, 2),
-    st.integers(1, 5),
-    st.integers(1, 4),
-    st.randoms(use_true_random=False),
-)
-def test_flatten_column_order(rx, tx, sub, pkt, rnd):
-    # every column equals its source entry, so nothing is lost or mixed
-    rng = np.random.default_rng(rnd.getrandbits(32))
-    values = rng.normal(size=(rx, tx, sub, pkt))
+def test_flatten_column_order():
+    rx, tx, sub, pkt = 2, 1, 3, 4
+    values = np.arange(rx * tx * sub * pkt, dtype=float).reshape(rx, tx, sub, pkt)
     seq = flatten_features(values)
     assert seq.shape == (pkt, rx * tx * sub)
     for r in range(rx):
@@ -299,6 +291,32 @@ def test_flatten_column_order(rx, tx, sub, pkt, rnd):
             for s in range(sub):
                 col = flat_column(r, t, s, tx, sub)
                 np.testing.assert_array_equal(seq[:, col], values[r, t, s, :])
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+def test_flatten_unflatten_round_trip(rx, tx, sub, pkt, rnd):
+    # rebuild the entries from the flat matrix through the column map; every
+    # column is read exactly once, so nothing is lost or mixed
+    rng = np.random.default_rng(rnd.getrandbits(32))
+    values = rng.normal(size=(rx, tx, sub, pkt))
+    seq = flatten_features(values)
+    assert seq.shape == (pkt, rx * tx * sub)
+    back = np.empty_like(values)
+    cols = []
+    for r in range(rx):
+        for t in range(tx):
+            for s in range(sub):
+                col = flat_column(r, t, s, tx, sub)
+                cols.append(col)
+                back[r, t, s, :] = seq[:, col]
+    assert sorted(cols) == list(range(rx * tx * sub))
+    np.testing.assert_array_equal(back, values)
 
 
 def test_flatten_full_dims_shape():
