@@ -2,10 +2,13 @@
 
 Forward ops build a single-use graph of closures; backward walks it once in
 topological order and accumulates gradients into every requires_grad leaf.
-Also home to the Adam optimizer, the step-decay learning-rate schedule, the
-finite-difference gradient checker, and the binary parameter checkpoint
-format shared by all models, which is read, encoded and written with the
-codec in :mod:`csireid.csi_core`.
+Most ops are elementary; :func:`lstm_sequence` is one fused node for a whole
+(bi-directional) LSTM layer, with backpropagation through time written by
+hand, so the graph does not grow with sequence length. Also home to the
+Adam optimizer, the step-decay learning-rate schedule, the finite-difference
+gradient checker, and the binary parameter checkpoint format shared by all
+models, which is read, encoded and written with the codec in
+:mod:`csireid.csi_core`.
 """
 
 from __future__ import annotations
@@ -378,30 +381,140 @@ def l2_normalize_axis(a: DiffTensor, axis: int) -> DiffTensor:
     return out
 
 
-def unstack_axis1(a: DiffTensor) -> list[DiffTensor]:
-    """Split a (B, P, d) tensor into P tensors of shape (B, d).
+def lstm_sequence(
+    x: DiffTensor,
+    w_x: list[DiffTensor],
+    w_h: list[DiffTensor],
+    b: list[DiffTensor],
+    reverse: list[bool],
+) -> DiffTensor:
+    """D LSTM directions over a (B, P, F) sequence as one graph node.
 
-    Equivalent to P take_slice calls, but each step's gradient lands
-    directly in its slice of the parent's accumulator instead of routing
-    through a freshly zeroed full-size buffer per step; recurrent loops
-    over long sequences depend on this.
+    Direction d has input weights ``w_x[d]`` (F, 4H), recurrent weights
+    ``w_h[d]`` (H, 4H) and bias ``b[d]`` (4H,), gate columns in i, f, g, o
+    order and a zero initial state; it visits the packets last to first when
+    ``reverse[d]`` is true. Returns the (B, P, D*H) hidden states in packet
+    order, direction d in columns d*H:(d+1)*H.
+
+    This is the fused recurrence of "Optimizing Performance of Recurrent
+    Neural Networks on GPUs" (Appleyard et al., 2016) in numpy. The input
+    projection of every packet and direction is one matmul. Each step runs
+    all directions as one stacked (D, B, H) @ (D, H, 4H) matmul and one tanh
+    over the four gates, using sigmoid(z) = tanh(z / 2) / 2 + 1 / 2; the
+    halving is folded into the i, f, o weight columns, which is exact.
+    Backpropagation through time is written by hand: the gate-local
+    derivative factors are formed for all steps at once, so the backward
+    loop is a few multiplies and one matmul per step.
     """
-    if a.values.ndim != 3:
-        raise ValueError("unstack_axis1 expects a rank-3 tensor")
-    steps = a.values.shape[1]
-    outs = []
-    for t in range(steps):
-        out = _make(np.ascontiguousarray(a.values[:, t, :]), (a,))
-        if out.requires_grad:
+    if x.values.ndim != 3:
+        raise ValueError("lstm_sequence expects a rank-3 (B, P, F) input")
+    n_dir = len(reverse)
+    if not n_dir or not len(w_x) == len(w_h) == len(b) == n_dir:
+        raise ValueError("lstm_sequence needs one w_x, w_h, b and reverse flag per direction")
+    n_b, n_p, n_f = x.values.shape
+    if n_p < 1:
+        raise ValueError("lstm_sequence needs at least one packet")
+    hid = w_h[0].values.shape[0]
+    want = {"w_x": (n_f, 4 * hid), "w_h": (hid, 4 * hid), "b": (4 * hid,)}
+    for d in range(n_dir):
+        for name, t in (("w_x", w_x[d]), ("w_h", w_h[d]), ("b", b[d])):
+            if t.values.shape != want[name]:
+                raise ValueError(
+                    f"direction {d}: {name} has shape {t.values.shape}, expected {want[name]}"
+                )
+    order = [slice(None, None, -1) if r else slice(None) for r in reverse]
+    # tanh pre-scale and post-affine that turn the i, f, o columns into sigmoids
+    half = np.full((4, hid), 0.5)
+    half[2] = 1.0
+    half = half.reshape(-1)
+    shift = 1.0 - half
 
-            def bw(g, t=t):
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.values)
-                a.grad[:, t, :] += g
+    wh = np.stack([w.values for w in w_h]) * half
+    proj = x.values.reshape(n_b * n_p, n_f) @ (
+        np.concatenate([w.values for w in w_x], axis=1) * np.tile(half, n_dir)
+    )
+    proj = proj.reshape(n_b, n_p, n_dir, 4 * hid)
+    # direction-major, step-major state: [:, s] holds step s of every
+    # direction, and step s of direction d reads packet order[d][s]
+    gates = np.empty((n_dir, n_p, n_b, 4 * hid))
+    for d in range(n_dir):
+        np.add(proj[:, order[d], d].transpose(1, 0, 2), b[d].values * half, out=gates[d])
+    del proj
+    cells = np.zeros((n_dir, n_p + 1, n_b, hid))  # [:, s + 1] after step s
+    states = np.zeros((n_dir, n_p + 1, n_b, hid))
+    tanh_c = np.empty((n_dir, n_p, n_b, hid))
+    rec = np.empty((n_dir, n_b, 4 * hid))
+    ig = np.empty((n_dir, n_b, hid))
+    for s in range(n_p):
+        z = gates[:, s]
+        np.matmul(states[:, s], wh, out=rec)
+        z += rec
+        np.tanh(z, out=z)
+        z *= half
+        z += shift
+        np.multiply(z[..., hid : 2 * hid], cells[:, s], out=cells[:, s + 1])
+        np.multiply(z[..., :hid], z[..., 2 * hid : 3 * hid], out=ig)
+        cells[:, s + 1] += ig
+        np.tanh(cells[:, s + 1], out=tanh_c[:, s])
+        np.multiply(z[..., 3 * hid :], tanh_c[:, s], out=states[:, s + 1])
 
-            out._backward = bw
-        outs.append(out)
-    return outs
+    values = np.empty((n_b, n_p, n_dir * hid))
+    for d in range(n_dir):
+        values[:, order[d], d * hid : (d + 1) * hid] = states[d, 1:].transpose(1, 0, 2)
+    out = _make(values, (x, *w_x, *w_h, *b))
+    if out.requires_grad:
+
+        def bw(g):
+            act = gates.reshape(n_dir, n_p, n_b, 4, hid)
+            i, f, gg, o = (act[:, :, :, k] for k in range(4))
+            # dz per unit of dc for i, f, g and per unit of dh for o; the
+            # loop scales it in place into the pre-activation gradient
+            dz = np.subtract(1.0, act)
+            dz *= act
+            dz[:, :, :, 0] *= gg
+            dz[:, :, :, 1] *= cells[:, :-1]
+            np.multiply(gg, gg, out=dz[:, :, :, 2])
+            np.subtract(1.0, dz[:, :, :, 2], out=dz[:, :, :, 2])
+            dz[:, :, :, 2] *= i
+            dz[:, :, :, 3] *= tanh_c
+            dc_dh = np.multiply(tanh_c, tanh_c)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            dc_dh *= o
+            dh_out = np.empty((n_dir, n_p, n_b, hid))
+            for d in range(n_dir):
+                dh_out[d] = g[:, order[d], d * hid : (d + 1) * hid].transpose(1, 0, 2)
+            wh_t = np.stack([w.values for w in w_h]).transpose(0, 2, 1)
+            dh = np.zeros((n_dir, n_b, hid))
+            dc = np.zeros((n_dir, n_b, hid))
+            tmp = np.empty((n_dir, n_b, hid))
+            # dh and dc carry the gradient of step s's h and c from later steps
+            for s in range(n_p - 1, -1, -1):
+                dh += dh_out[:, s]
+                np.multiply(dh, dc_dh[:, s], out=tmp)
+                dc += tmp
+                dz[:, s, :, :3] *= dc[:, :, None]
+                dz[:, s, :, 3] *= dh
+                dc *= f[:, s]
+                np.matmul(dz[:, s].reshape(n_dir, n_b, 4 * hid), wh_t, out=dh)
+
+            dz = dz.reshape(n_dir, n_p * n_b, 4 * hid)
+            dx = np.zeros_like(x.values) if x.requires_grad else None
+            for d in range(n_dir):
+                if w_x[d].requires_grad:
+                    xs = x.values[:, order[d]].transpose(1, 0, 2).reshape(n_p * n_b, n_f)
+                    _accum(w_x[d], xs.T @ dz[d], owned=True)
+                if w_h[d].requires_grad:
+                    _accum(w_h[d], states[d, :-1].reshape(n_p * n_b, hid).T @ dz[d], owned=True)
+                if b[d].requires_grad:
+                    _accum(b[d], dz[d].sum(axis=0), owned=True)
+                if dx is not None:
+                    dxs = (dz[d] @ w_x[d].values.T).reshape(n_p, n_b, n_f)
+                    dx += dxs[order[d]].transpose(1, 0, 2)
+            if dx is not None:
+                _accum(x, dx, owned=True)
+
+        out._backward = bw
+    return out
 
 
 # --------------------------------------------------------------- backward

@@ -119,6 +119,8 @@ class SampleRecord:
     def __post_init__(self) -> None:
         if self.subject_id < 0:
             raise ValueError("subject_id must be >= 0")
+        if self.subject_id >= 2**32:
+            raise ValueError("subject_id must be < 2**32")
         self.scenario = Scenario(self.scenario)
         self.payload_kind = PayloadKind(self.payload_kind)
         if self.payload_kind == PayloadKind.COMPLEX:

@@ -2,8 +2,9 @@
 
 Two interchangeable encoders map a (packet, feature) sequence to a
 fixed-width vector: one stacked LSTM, run forward only (``"lstm"``) or
-forward and backward (``"bilstm"``), and a Transformer. A linear head plus
-l2 normalization turns that vector into a signature whose dot products are
+forward and backward (``"bilstm"``) with each layer a single
+``ad.lstm_sequence`` graph node, and a Transformer. A linear head plus l2
+normalization turns that vector into a signature whose dot products are
 cosine similarities. Every forward pass takes a rank-3 (B, P, F) tensor.
 """
 
@@ -76,11 +77,6 @@ def _require_batch(x) -> ad.DiffTensor:
     return x
 
 
-def _join(parts: list[ad.DiffTensor], axis: int) -> ad.DiffTensor:
-    """Concatenate along ``axis``; a single part is returned as is."""
-    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=axis)
-
-
 # ---------------------------------------------------------------- attention
 
 
@@ -135,40 +131,15 @@ def _lstm_cell_params(rng: np.random.Generator, in_dim: int, hidden: int) -> dic
     }
 
 
-def _lstm_layer(xb: ad.DiffTensor, cell: dict, hidden: int, reverse: bool):
-    """Run one LSTM direction; returns (per-step hidden list, final hidden)."""
-    b, p, _ = xb.values.shape
-    xw = ad.add(ad.matmul(xb, cell["w_x"]), cell["b"])
-    steps = ad.unstack_axis1(xw)
-    if reverse:
-        steps = steps[::-1]
-    h = ad.constant(np.zeros((b, hidden)))
-    c = ad.constant(np.zeros((b, hidden)))
-    hs = []
-    for xt in steps:
-        gates = ad.add(xt, ad.matmul(h, cell["w_h"]))
-        i = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(0, hidden))))
-        f = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(hidden, 2 * hidden))))
-        g = ad.tanh(ad.take_slice(gates, (slice(None), slice(2 * hidden, 3 * hidden))))
-        o = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(3 * hidden, 4 * hidden))))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        hs.append(h)
-    if reverse:
-        hs = hs[::-1]
-    return hs, h
-
-
-def _stack_steps(hs: list[ad.DiffTensor]) -> ad.DiffTensor:
-    b, d = hs[0].values.shape
-    return ad.concat([ad.reshape(h, (b, 1, d)) for h in hs], axis=1)
-
-
 class LstmEncoder:
     """Stacked LSTM; encodes to the end-of-pass state of each direction.
 
     ``cfg.arch`` sets the directions: ``"lstm"`` runs forward only,
     ``"bilstm"`` runs forward and backward and concatenates both states.
+    Each layer runs all its directions as one ``ad.lstm_sequence`` node;
+    layers after the first read the previous layer's (B, P, D*H) sequence
+    through dropout. The forward state is read at the last packet and the
+    backward state at packet 0, where each pass ends.
     """
 
     def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
@@ -193,16 +164,25 @@ class LstmEncoder:
         }
 
     def encode(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        xb = _require_batch(x)
+        seq = _require_batch(x)
+        reverse = [d == "bwd" for d in self.directions]
         for idx, layer in enumerate(self.layers):
-            passes = [
-                _lstm_layer(xb, cell, self.cfg.hidden_d, reverse=d == "bwd")
-                for d, cell in layer.items()
-            ]
-            if idx != len(self.layers) - 1:
-                seq = _join([_stack_steps(hs) for hs, _ in passes], axis=2)
-                xb = ad.dropout(seq, 1.0 - self.cfg.dropout_pd, rng, training)
-        return _join([final for _, final in passes], axis=1)
+            if idx:
+                seq = ad.dropout(seq, 1.0 - self.cfg.dropout_pd, rng, training)
+            cells = [layer[d] for d in self.directions]
+            seq = ad.lstm_sequence(
+                seq,
+                [c["w_x"] for c in cells],
+                [c["w_h"] for c in cells],
+                [c["b"] for c in cells],
+                reverse,
+            )
+        hid = self.cfg.hidden_d
+        finals = [
+            ad.take_slice(seq, (slice(None), 0 if rev else -1, slice(k * hid, (k + 1) * hid)))
+            for k, rev in enumerate(reverse)
+        ]
+        return ad.concat(finals, axis=1)
 
 
 # ------------------------------------------------------------- transformer

@@ -16,6 +16,58 @@ def sum_all(a: ad.DiffTensor) -> ad.DiffTensor:
     return ad.mul(ad.mean_axis(flat, axis=1), ad.constant(np.array([float(n)])))
 
 
+def _lstm_direction(x: ad.DiffTensor, cell: dict, reverse: bool):
+    """One LSTM direction, about 16 autodiff nodes per packet.
+
+    Returns the per-packet hidden states in packet order and the state the
+    pass ends on.
+    """
+    b, p, _ = x.values.shape
+    hidden = cell["w_h"].values.shape[0]
+    xw = ad.add(ad.matmul(x, cell["w_x"]), cell["b"])
+    steps = [ad.take_slice(xw, (slice(None), t, slice(None))) for t in range(p)]
+    if reverse:
+        steps = steps[::-1]
+    h = ad.constant(np.zeros((b, hidden)))
+    c = ad.constant(np.zeros((b, hidden)))
+    hs = []
+    for xt in steps:
+        gates = ad.add(xt, ad.matmul(h, cell["w_h"]))
+        i = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(0, hidden))))
+        f = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(hidden, 2 * hidden))))
+        g = ad.tanh(ad.take_slice(gates, (slice(None), slice(2 * hidden, 3 * hidden))))
+        o = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(3 * hidden, 4 * hidden))))
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+        hs.append(h)
+    if reverse:
+        hs = hs[::-1]
+    return hs, h
+
+
+def lstm_encode(x: ad.DiffTensor, layers, reverse, keep_prob: float = 1.0, rng=None):
+    """Stacked (Bi-)LSTM composed step by step from elementary autodiff ops.
+
+    ``layers`` holds one list of ``{"w_x", "w_h", "b"}`` cells per layer, one
+    cell per direction; direction d runs last packet to first when
+    ``reverse[d]`` is true. Between layers the (B, P, D*H) sequence goes
+    through train-mode dropout drawn from ``rng`` when one is given. Returns
+    the last layer's (B, P, D*H) sequence and the (B, D*H) states the
+    directions end on.
+    """
+    for idx, cells in enumerate(layers):
+        if idx and rng is not None:
+            x = ad.dropout(x, keep_prob, rng, training=True)
+        b = x.values.shape[0]
+        passes = [_lstm_direction(x, cell, rev) for cell, rev in zip(cells, reverse)]
+        per_dir = [
+            ad.concat([ad.reshape(h, (b, 1, h.values.shape[1])) for h in hs], axis=1)
+            for hs, _ in passes
+        ]
+        x = ad.concat(per_dir, axis=2)
+    return x, ad.concat([final for _, final in passes], axis=1)
+
+
 def flat_column(rx: int, tx: int, sub: int, n_tx: int, n_sub: int) -> int:
     """Column of the (rx, tx, subcarrier) entry in a flattened sequence."""
     return (rx * n_tx + tx) * n_sub + sub

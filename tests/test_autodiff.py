@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csireid import autodiff as ad
-from tests.oracles import sum_all
+from tests.oracles import lstm_encode, sum_all
 
 TOL = 1e-6
 
@@ -284,35 +284,127 @@ def test_grad_l2_normalize():
     assert check_unary(lambda t: ad.l2_normalize_axis(t, axis=1), x) < TOL
 
 
-def test_unstack_matches_take_slice():
-    x1 = ad.parameter(rand((2, 4, 3), 50))
-    x2 = ad.parameter(x1.values.copy())
-    w = [rand((2, 3), 60 + t) for t in range(4)]
-    loss1 = sum_all(
-        ad.concat([ad.mul(s, ad.constant(w[t])) for t, s in enumerate(ad.unstack_axis1(x1))], axis=1)
+def lstm_cells(reverse, n_in, hidden, seed):
+    """One random {w_x, w_h, b} cell per direction."""
+    rng = np.random.default_rng(seed)
+    return [
+        {
+            "w_x": ad.parameter(rng.uniform(-0.8, 0.8, (n_in, 4 * hidden))),
+            "w_h": ad.parameter(rng.uniform(-0.8, 0.8, (hidden, 4 * hidden))),
+            "b": ad.parameter(rng.uniform(-0.5, 0.5, 4 * hidden)),
+        }
+        for _ in reverse
+    ]
+
+
+def fused_lstm(x, cells, reverse):
+    return ad.lstm_sequence(
+        x, [c["w_x"] for c in cells], [c["w_h"] for c in cells], [c["b"] for c in cells], reverse
     )
-    loss2 = sum_all(
+
+
+def read_packets(seq, packets, seed=61):
+    """Weighted sum over the listed packets of a (B, P, d) sequence only."""
+    b, _, d = seq.shape
+    return sum_all(
         ad.concat(
             [
-                ad.mul(ad.take_slice(x2, (slice(None), t, slice(None))), ad.constant(w[t]))
-                for t in range(4)
+                ad.mul(
+                    ad.take_slice(seq, (slice(None), t, slice(None))),
+                    ad.constant(rand((b, d), seed + k)),
+                )
+                for k, t in enumerate(packets)
             ],
             axis=1,
         )
     )
-    ad.backward(loss1)
-    ad.backward(loss2)
-    np.testing.assert_allclose(x1.grad, x2.grad, atol=1e-14)
 
 
-def test_unstack_partial_consumption():
-    # gradient must still land even when only some steps reach the loss
-    x = ad.parameter(rand((1, 3, 2), 51))
-    steps = ad.unstack_axis1(x)
-    ad.backward(sum_all(steps[1]))
-    want = np.zeros((1, 3, 2))
-    want[0, 1, :] = 1.0
-    np.testing.assert_array_equal(x.grad, want)
+def lstm_grads(build, x, cells):
+    """Output values and the gradients of x and every cell parameter."""
+    tensors = [x, *(t for c in cells for t in c.values())]
+    for t in tensors:
+        t.grad = None
+    seq, loss = build()
+    ad.backward(loss)
+    return seq.values, [t.grad.copy() for t in tensors]
+
+
+@pytest.mark.parametrize("reverse", [[False], [True], [False, True]], ids=["fwd", "bwd", "bi"])
+@pytest.mark.parametrize("packets", [range(5), [1, 3]], ids=["all", "some"])
+def test_lstm_sequence_partial_read_matches_oracle(reverse, packets):
+    # reading all packets or only some gives the per-step composition's
+    # values and input and parameter gradients
+    x = ad.parameter(rand((2, 5, 3), 50))
+    cells = lstm_cells(reverse, 3, 4, 52)
+
+    def fused():
+        seq = fused_lstm(x, cells, reverse)
+        return seq, read_packets(seq, packets)
+
+    def oracle():
+        seq, _ = lstm_encode(x, [cells], reverse)
+        return seq, read_packets(seq, packets)
+
+    got, got_grads = lstm_grads(fused, x, cells)
+    want, want_grads = lstm_grads(oracle, x, cells)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+def test_lstm_sequence_partial_consumption(reverse):
+    # a loss that reads only packet 2 gets exactly nothing from the packets
+    # the direction visits after it, and the same gradients as a run over
+    # the packets that it visits up to and including packet 2
+    x = ad.parameter(rand((2, 6, 3), 51))
+    cells = lstm_cells([reverse], 3, 4, 53)
+    ad.backward(read_packets(fused_lstm(x, cells, [reverse]), [2]))
+    unread = slice(0, 2) if reverse else slice(3, None)
+    assert np.all(x.grad[:, unread] == 0.0)
+    assert np.any(x.grad[:, 2] != 0.0)
+    full = [x.grad.copy(), *(c.grad.copy() for c in cells[0].values())]
+
+    kept = slice(2, None) if reverse else slice(0, 3)
+    x_kept = ad.parameter(x.values[:, kept].copy())
+    for c in cells[0].values():
+        c.grad = None
+    ad.backward(read_packets(fused_lstm(x_kept, cells, [reverse]), [0 if reverse else 2]))
+    np.testing.assert_allclose(full[0][:, kept], x_kept.grad, rtol=0, atol=1e-14)
+    for g, c in zip(full[1:], cells[0].values()):
+        np.testing.assert_allclose(g, c.grad, rtol=0, atol=1e-14)
+
+
+def test_lstm_sequence_grad_check():
+    x = ad.parameter(rand((2, 3, 2), 54))
+    cells = lstm_cells([False, True], 2, 2, 55)
+    tensors = [x, *(t for c in cells for t in c.values())]
+
+    def loss(_):
+        return weighted_sum(fused_lstm(x, cells, [False, True]))
+
+    assert ad.grad_check(loss, tensors) < 1e-5
+
+
+def test_lstm_sequence_second_backward_raises():
+    x = ad.constant(rand((1, 3, 2), 56))
+    cells = lstm_cells([False, True], 2, 2, 57)
+    seq = fused_lstm(x, cells, [False, True])
+    ad.backward(weighted_sum(seq))
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.backward(weighted_sum(seq))
+
+
+def test_lstm_sequence_rejects_bad_shapes():
+    x = ad.constant(rand((1, 3, 2), 58))
+    cells = lstm_cells([False], 2, 2, 59)
+    with pytest.raises(ValueError, match="per direction"):
+        ad.lstm_sequence(x, [cells[0]["w_x"]], [cells[0]["w_h"]], [cells[0]["b"]], [False, True])
+    with pytest.raises(ValueError, match="w_x has shape"):
+        fused_lstm(ad.constant(rand((1, 3, 5), 60)), cells, [False])
+    with pytest.raises(ValueError, match="at least one packet"):
+        fused_lstm(ad.constant(np.zeros((1, 0, 2))), cells, [False])
 
 
 # ---------------------------------------------------------------- dropout

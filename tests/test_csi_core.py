@@ -330,6 +330,15 @@ def test_record_dims_mismatch_rejected():
         SampleRecord(0, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE, dims=(1, 1, 5, 4))
 
 
+def test_sample_record_rejects_subject_id_over_u32(tmp_path):
+    seq = FeatureSequence(2, 2, np.zeros((2, 2)))
+    largest = SampleRecord(2**32 - 1, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE)
+    write_sample(largest, tmp_path / "max.csb")
+    assert read_sample(tmp_path / "max.csb").subject_id == 2**32 - 1
+    with pytest.raises(ValueError, match=r"subject_id must be < 2\*\*32"):
+        SampleRecord(2**32, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE)
+
+
 def test_record_feature_dims_accepted():
     seq = FeatureSequence(4, 6, np.zeros((4, 6)))
     rec = SampleRecord(0, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE, dims=(3, 1, 2, 4))

@@ -16,7 +16,7 @@ from csireid.encoders import (
     positional_encoding,
     signature_tensor,
 )
-from tests.oracles import attention, sum_all
+from tests.oracles import attention, lstm_encode, sum_all
 
 TINY = dict(layers_l=1, hidden_d=4, heads=2, signature_dim_s=3, dropout_pd=0.0)
 
@@ -197,6 +197,68 @@ def test_bilstm_grad_check():
         return sum_all(ad.mul(out, w))
 
     assert ad.grad_check(f, [x, *enc.named_params().values()]) < 1e-5
+
+
+@pytest.mark.parametrize("b, p", [(3, 5), (1, 5), (3, 1)])
+@pytest.mark.parametrize("layers_l", [1, 2])
+@pytest.mark.parametrize("arch", ["lstm", "bilstm"])
+def test_lstm_sequence_matches_oracle(arch, layers_l, b, p):
+    cfg = tiny_cfg(arch, layers_l=layers_l, dropout_pd=0.25)
+    enc = LstmEncoder(cfg, 3, np.random.default_rng(40))
+    x = ad.parameter(np.random.default_rng(41).normal(size=(b, p, 3)))
+    tensors = [x, *enc.named_params().values()]
+    cells = [[layer[d] for d in enc.directions] for layer in enc.layers]
+    reverse = [d == "bwd" for d in enc.directions]
+
+    def run(encode):
+        for t in tensors:
+            t.grad = None
+        out = encode(np.random.default_rng(42))
+        w = ad.constant(np.random.default_rng(43).normal(size=out.values.shape))
+        ad.backward(sum_all(ad.mul(out, w)))
+        return out.values, [t.grad.copy() for t in tensors]
+
+    got, got_grads = run(lambda rng: enc.encode(x, training=True, rng=rng))
+    want, want_grads = run(lambda rng: lstm_encode(x, cells, reverse, 0.75, rng)[1])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def graph_nodes(root: ad.DiffTensor) -> int:
+    """Nodes reachable from ``root`` through the autodiff parent links."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def in_batch_loss(sigs: ad.DiffTensor, labels: np.ndarray) -> ad.DiffTensor:
+    """-mean log softmax mass on same-label candidates, self excluded."""
+    b = labels.size
+    eye = np.eye(b, dtype=bool)
+    positive = (labels[:, None] == labels[None, :]) & ~eye
+    logits = ad.add(
+        ad.mul(ad.matmul(sigs, ad.transpose(sigs, (1, 0))), ad.constant(np.array(10.0))),
+        ad.constant(np.where(eye, -1e9, 0.0)),
+    )
+    prob = ad.softmax_axis(logits, axis=1)
+    mass = ad.mean_axis(ad.mul(prob, ad.constant(positive.astype(np.float64))), axis=1)
+    return ad.mul(ad.mean_axis(ad.log(mass), axis=0), ad.constant(np.array(-1.0)))
+
+
+def test_bilstm_graph_size_independent_of_packets():
+    model = build_model(tiny_cfg("bilstm"), n_feat=3, seed=5)
+    labels = np.array([0, 0, 1, 1])
+    counts = []
+    for p in (5, 50):
+        x = ad.constant(np.random.default_rng(p).normal(size=(4, p, 3)))
+        counts.append(graph_nodes(in_batch_loss(model.signatures(x, training=True), labels)))
+    assert counts[0] == counts[1] < 40
 
 
 # --------------------------------------------------------------- transformer
