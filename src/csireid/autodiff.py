@@ -524,12 +524,18 @@ def backward(loss: DiffTensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable requires_grad leaf.
 
     The graph is consumed: interior closures are dropped to free memory and
-    a second backward through any part of it raises.
+    a second backward through any part of it raises. A loss that no
+    requires_grad tensor feeds has no graph to walk, and raises too.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     if loss._consumed:
         raise RuntimeError("graph already consumed")
+    if not loss.requires_grad:
+        raise RuntimeError(
+            "backward needs a loss that a requires_grad tensor feeds; this one was "
+            "built from constants only (eval-mode signatures read constant weights)"
+        )
     order: list[DiffTensor] = []
     seen = {id(loss)}
     stack = [(loss, iter(loss._parents))]

@@ -1,11 +1,12 @@
-"""Sequence encoders and the unit-norm signature head.
+"""Sequence encoders and the unit-norm signature head, as one model class.
 
-Two interchangeable encoders map a (packet, feature) sequence to a
-fixed-width vector: one stacked LSTM, run forward only (``"lstm"``) or
-forward and backward (``"bilstm"``) with each layer a single
-``ad.lstm_sequence`` graph node, and a Transformer. A linear head plus l2
-normalization turns that vector into a signature whose dot products are
-cosine similarities. Every forward pass takes a rank-3 (B, P, F) tensor.
+A :class:`SignatureModel` maps a rank-3 (B, P, F) batch of (packet,
+feature) sequences to unit-norm signatures whose dot products are cosine
+similarities. Its encoder is interchangeable: a stacked LSTM run forward
+only (``"lstm"``) or forward and backward (``"bilstm"``), each layer a
+single ``ad.lstm_sequence`` graph node, or a Transformer. A linear head
+plus l2 normalization follows. Every parameter lives in one flat dict keyed
+by its checkpoint name, and the forward pass reads it by key.
 """
 
 from __future__ import annotations
@@ -80,13 +81,13 @@ def _require_batch(x) -> ad.DiffTensor:
 # ---------------------------------------------------------------- attention
 
 
-def multi_head_attention(x, weights: dict, heads: int) -> ad.DiffTensor:
+def multi_head_attention(x, params: dict, prefix: str, heads: int) -> ad.DiffTensor:
     """Scaled dot-product self-attention over the packet axis of (B, P, d).
 
-    ``weights`` holds the fused projections wq/wk/wv/wo with biases; heads
-    are blocks of the fused matrices. Dropout is applied between encoder
-    layers, not inside the sub-layer. Residual and layer norm are the
-    caller's responsibility.
+    ``params`` holds the fused projections ``<prefix>.wq``/``wk``/``wv``/
+    ``wo`` as ``.w`` and ``.b`` entries; heads are blocks of the fused
+    matrices. Dropout is applied between encoder layers, not inside the
+    sub-layer. Residual and layer norm are the caller's responsibility.
     """
     xb = _require_batch(x)
     b, p, d = xb.values.shape
@@ -97,9 +98,9 @@ def multi_head_attention(x, weights: dict, heads: int) -> ad.DiffTensor:
     def split_heads(t):
         return ad.transpose(ad.reshape(t, (b, p, heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(_linear(weights, "wq", xb))
-    k = split_heads(_linear(weights, "wk", xb))
-    v = split_heads(_linear(weights, "wv", xb))
+    q = split_heads(_linear(params, f"{prefix}.wq", xb))
+    k = split_heads(_linear(params, f"{prefix}.wk", xb))
+    v = split_heads(_linear(params, f"{prefix}.wv", xb))
     scores = ad.mul(
         ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
         ad.constant(np.array(1.0 / np.sqrt(dh))),
@@ -107,138 +108,7 @@ def multi_head_attention(x, weights: dict, heads: int) -> ad.DiffTensor:
     attn = ad.softmax_axis(scores, axis=3)
     mixed = ad.matmul(attn, v)
     merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, p, d))
-    return _linear(weights, "wo", merged)
-
-
-def attention_params(rng: np.random.Generator, d: int) -> dict:
-    params = {}
-    for name in ("wq", "wk", "wv", "wo"):
-        params[f"{name}.w"] = ad.parameter(_uniform(rng, d, (d, d)), name + ".w")
-        params[f"{name}.b"] = ad.parameter(np.zeros(d), name + ".b")
-    return params
-
-
-# -------------------------------------------------------------------- LSTM
-
-
-def _lstm_cell_params(rng: np.random.Generator, in_dim: int, hidden: int) -> dict:
-    bias = np.zeros(4 * hidden)
-    bias[hidden : 2 * hidden] = 1.0  # forget gate opens at init
-    return {
-        "w_x": ad.parameter(_uniform(rng, in_dim, (in_dim, 4 * hidden)), "w_x"),
-        "w_h": ad.parameter(_uniform(rng, hidden, (hidden, 4 * hidden)), "w_h"),
-        "b": ad.parameter(bias, "b"),
-    }
-
-
-class LstmEncoder:
-    """Stacked LSTM; encodes to the end-of-pass state of each direction.
-
-    ``cfg.arch`` sets the directions: ``"lstm"`` runs forward only,
-    ``"bilstm"`` runs forward and backward and concatenates both states.
-    Each layer runs all its directions as one ``ad.lstm_sequence`` node;
-    layers after the first read the previous layer's (B, P, D*H) sequence
-    through dropout. The forward state is read at the last packet and the
-    backward state at packet 0, where each pass ends.
-    """
-
-    def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
-        self.cfg = cfg
-        self.n_feat = n_feat
-        self.directions = ("fwd", "bwd") if cfg.arch == "bilstm" else ("fwd",)
-        self.layers = []
-        in_dim = n_feat
-        for _ in range(cfg.layers_l):
-            self.layers.append(
-                {d: _lstm_cell_params(rng, in_dim, cfg.hidden_d) for d in self.directions}
-            )
-            in_dim = len(self.directions) * cfg.hidden_d
-
-    def named_params(self) -> dict[str, ad.DiffTensor]:
-        bidirectional = len(self.directions) == 2
-        return {
-            f"bilstm{i}.{d}.{k}" if bidirectional else f"lstm{i}.{k}": v
-            for i, layer in enumerate(self.layers)
-            for d, cell in layer.items()
-            for k, v in cell.items()
-        }
-
-    def encode(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        seq = _require_batch(x)
-        reverse = [d == "bwd" for d in self.directions]
-        for idx, layer in enumerate(self.layers):
-            if idx:
-                seq = ad.dropout(seq, 1.0 - self.cfg.dropout_pd, rng, training)
-            cells = [layer[d] for d in self.directions]
-            seq = ad.lstm_sequence(
-                seq,
-                [c["w_x"] for c in cells],
-                [c["w_h"] for c in cells],
-                [c["b"] for c in cells],
-                reverse,
-            )
-        hid = self.cfg.hidden_d
-        finals = [
-            ad.take_slice(seq, (slice(None), 0 if rev else -1, slice(k * hid, (k + 1) * hid)))
-            for k, rev in enumerate(reverse)
-        ]
-        return ad.concat(finals, axis=1)
-
-
-# ------------------------------------------------------------- transformer
-
-
-def _transformer_block_params(rng: np.random.Generator, d: int, ff: int) -> dict:
-    params = attention_params(rng, d)
-    params["ff1.w"] = ad.parameter(_uniform(rng, d, (d, ff)), "ff1.w")
-    params["ff1.b"] = ad.parameter(np.zeros(ff), "ff1.b")
-    params["ff2.w"] = ad.parameter(_uniform(rng, ff, (ff, d)), "ff2.w")
-    params["ff2.b"] = ad.parameter(np.zeros(d), "ff2.b")
-    params["ln1.g"] = ad.parameter(np.ones(d), "ln1.g")
-    params["ln1.b"] = ad.parameter(np.zeros(d), "ln1.b")
-    params["ln2.g"] = ad.parameter(np.ones(d), "ln2.g")
-    params["ln2.b"] = ad.parameter(np.zeros(d), "ln2.b")
-    return params
-
-
-class TransformerEncoder:
-    """Post-norm encoder stack over projected inputs plus position table, with
-    ``4 * hidden_d`` wide feed-forward layers and mean pooling over packets."""
-
-    def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
-        self.cfg = cfg
-        self.n_feat = n_feat
-        d = cfg.hidden_d
-        self.proj = {
-            "in.w": ad.parameter(_uniform(rng, n_feat, (n_feat, d)), "in.w"),
-            "in.b": ad.parameter(np.zeros(d), "in.b"),
-        }
-        self.blocks = [
-            _transformer_block_params(rng, d, 4 * d) for _ in range(cfg.layers_l)
-        ]
-
-    def named_params(self) -> dict[str, ad.DiffTensor]:
-        out = {f"tf.{k}": v for k, v in self.proj.items()}
-        for i, block in enumerate(self.blocks):
-            for k, v in block.items():
-                out[f"tf{i}.{k}"] = v
-        return out
-
-    def encode(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        xb = _require_batch(x)
-        _, p, _ = xb.values.shape
-        h = ad.add(
-            ad.add(ad.matmul(xb, self.proj["in.w"]), self.proj["in.b"]),
-            ad.constant(positional_encoding(p, self.cfg.hidden_d)),
-        )
-        for idx, block in enumerate(self.blocks):
-            attn = multi_head_attention(h, block, self.cfg.heads)
-            h = ad.layer_norm(ad.add(h, attn), block["ln1.g"], block["ln1.b"])
-            ff = _linear(block, "ff2", ad.rectifier(_linear(block, "ff1", h)))
-            h = ad.layer_norm(ad.add(h, ff), block["ln2.g"], block["ln2.b"])
-            if idx != len(self.blocks) - 1:
-                h = ad.dropout(h, 1.0 - self.cfg.dropout_pd, rng, training)
-        return ad.mean_axis(h, axis=1)
+    return _linear(params, f"{prefix}.wo", merged)
 
 
 # ----------------------------------------------------------- signature head
@@ -246,7 +116,7 @@ class TransformerEncoder:
 
 def signature_tensor(h: ad.DiffTensor, params: dict) -> ad.DiffTensor:
     """Differentiable (B, s) signatures from (B, enc_dim) encoder output."""
-    pre = ad.add(ad.matmul(h, params["head.w"]), params["head.b"])
+    pre = _linear(params, "head", h)
     bad = np.flatnonzero(~np.isfinite(pre.values).all(axis=1))
     if bad.size:
         raise ad.NumericError(f"non-finite vector reached the signature head (rows {bad.tolist()})")
@@ -256,47 +126,128 @@ def signature_tensor(h: ad.DiffTensor, params: dict) -> ad.DiffTensor:
     return ad.l2_normalize_axis(pre, axis=1)
 
 
-_ENCODERS = {
-    "lstm": LstmEncoder,
-    "bilstm": LstmEncoder,
-    "transformer": TransformerEncoder,
-}
+# -------------------------------------------------------------------- model
+
+
+def _lstm_cells(arch: str, layer: int) -> list[str]:
+    """Key prefix of each direction's cell in one (Bi-)LSTM layer."""
+    if arch == "bilstm":
+        return [f"bilstm{layer}.fwd", f"bilstm{layer}.bwd"]
+    return [f"lstm{layer}"]
 
 
 class SignatureModel:
-    """An encoder plus signature head with one flat parameter namespace."""
+    """Encoder plus signature head over one flat dict of parameters.
+
+    ``named`` maps each state-dict key to its parameter, in state-dict
+    order, and each parameter's ``name`` is its key:
+    ``lstm<i>.{w_x,w_h,b}`` or ``bilstm<i>.{fwd,bwd}.{w_x,w_h,b}`` for the
+    recurrent encoders, ``tf.in.{w,b}`` and ``tf<i>.<sub-layer>.<w|b|g>``
+    for the Transformer, then ``head.{w,b}``.
+
+    Training mode reads the parameters themselves. Evaluation mode reads
+    them as constants that share their arrays, so no backward graph is built
+    through the weights; a batch that requires grad still gets its input
+    gradient.
+    """
 
     def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
         self.cfg = cfg
         self.n_feat = n_feat
-        self.encoder = _ENCODERS[cfg.arch](cfg, n_feat, rng)
-        enc_dim = cfg.encoder_out_dim
-        self.head = {
-            "head.w": ad.parameter(
-                _uniform(rng, enc_dim, (enc_dim, cfg.signature_dim_s)), "head.w"
-            ),
-            "head.b": ad.parameter(np.zeros(cfg.signature_dim_s), "head.b"),
-        }
+        self.named: dict[str, ad.DiffTensor] = {}
+        d = cfg.hidden_d
+        if cfg.arch == "transformer":
+            self._linear_params(rng, "tf.in", n_feat, d)
+            for i in range(cfg.layers_l):
+                for proj in ("wq", "wk", "wv", "wo"):
+                    self._linear_params(rng, f"tf{i}.{proj}", d, d)
+                self._linear_params(rng, f"tf{i}.ff1", d, 4 * d)
+                self._linear_params(rng, f"tf{i}.ff2", 4 * d, d)
+                for norm in ("ln1", "ln2"):
+                    self._add(f"tf{i}.{norm}.g", np.ones(d))
+                    self._add(f"tf{i}.{norm}.b", np.zeros(d))
+        else:
+            bias = np.zeros(4 * d)
+            bias[d : 2 * d] = 1.0  # forget gate opens at init
+            in_dim = n_feat
+            for i in range(cfg.layers_l):
+                for cell in _lstm_cells(cfg.arch, i):
+                    self._add(f"{cell}.w_x", _uniform(rng, in_dim, (in_dim, 4 * d)))
+                    self._add(f"{cell}.w_h", _uniform(rng, d, (d, 4 * d)))
+                    self._add(f"{cell}.b", bias.copy())
+                in_dim = cfg.encoder_out_dim
+        self._linear_params(rng, "head", cfg.encoder_out_dim, cfg.signature_dim_s)
 
-    def named_params(self) -> dict[str, ad.DiffTensor]:
-        out = dict(self.encoder.named_params())
-        out.update(self.head)
-        return out
+    def _add(self, key: str, values: np.ndarray) -> None:
+        self.named[key] = ad.parameter(values, key)
+
+    def _linear_params(self, rng, prefix: str, fan_in: int, fan_out: int) -> None:
+        self._add(f"{prefix}.w", _uniform(rng, fan_in, (fan_in, fan_out)))
+        self._add(f"{prefix}.b", np.zeros(fan_out))
 
     @property
     def params(self) -> list[ad.DiffTensor]:
-        return list(self.named_params().values())
+        return list(self.named.values())
+
+    def _read(self, training: bool) -> dict[str, ad.DiffTensor]:
+        if training:
+            return self.named
+        return {key: ad.constant(t.values, key) for key, t in self.named.items()}
+
+    def encode(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
+        """(B, enc_dim) encoder output for a (B, P, F) batch."""
+        return self._encode(self._read(training), x, training, rng)
 
     def signatures(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
         """(B, s) unit-norm signatures for a (B, P, F) batch."""
-        enc = self.encoder.encode(x, training=training, rng=rng)
-        return signature_tensor(enc, self.head)
+        params = self._read(training)
+        return signature_tensor(self._encode(params, x, training, rng), params)
+
+    def _encode(self, params: dict, x, training: bool, rng) -> ad.DiffTensor:
+        cfg = self.cfg
+        h = _require_batch(x)
+        keep = 1.0 - cfg.dropout_pd
+        if cfg.arch == "transformer":
+            # post-norm blocks over projected inputs plus the position
+            # table, with 4 * hidden_d wide feed-forward layers, mean-pooled
+            pos = ad.constant(positional_encoding(h.values.shape[1], cfg.hidden_d))
+            h = ad.add(_linear(params, "tf.in", h), pos)
+            for i in range(cfg.layers_l):
+                if i:
+                    h = ad.dropout(h, keep, rng, training)
+                block = f"tf{i}"
+                attn = multi_head_attention(h, params, block, cfg.heads)
+                h = ad.layer_norm(ad.add(h, attn), params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
+                ff = _linear(params, f"{block}.ff2", ad.rectifier(_linear(params, f"{block}.ff1", h)))
+                h = ad.layer_norm(ad.add(h, ff), params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
+            return ad.mean_axis(h, axis=1)
+        # each layer runs all its directions as one lstm_sequence node and
+        # the next reads its (B, P, D*H) output through dropout; a forward
+        # pass ends at the last packet and a backward pass at packet 0
+        for i in range(cfg.layers_l):
+            if i:
+                h = ad.dropout(h, keep, rng, training)
+            cells = _lstm_cells(cfg.arch, i)
+            reverse = [c.endswith(".bwd") for c in cells]
+            h = ad.lstm_sequence(
+                h,
+                [params[f"{c}.w_x"] for c in cells],
+                [params[f"{c}.w_h"] for c in cells],
+                [params[f"{c}.b"] for c in cells],
+                reverse,
+            )
+        hid = cfg.hidden_d
+        finals = [
+            ad.take_slice(h, (slice(None), 0 if rev else -1, slice(k * hid, (k + 1) * hid)))
+            for k, rev in enumerate(reverse)
+        ]
+        return ad.concat(finals, axis=1)
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self.named_params().items()}
+        return {key: t.values.copy() for key, t in self.named.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = self.named_params()
+        own = self.named
         missing = set(own) - set(state)
         extra = set(state) - set(own)
         if missing or extra:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csireid import autodiff as ad
+from csireid.encoders import EncoderConfig, build_model
 from tests.oracles import lstm_encode, sum_all
 
 TOL = 1e-6
@@ -90,6 +91,14 @@ def test_backward_rejects_nonscalar():
     x = ad.parameter(rand((2, 2), 5))
     with pytest.raises(ValueError):
         ad.backward(ad.mul(x, x))
+
+
+def test_backward_rejects_loss_without_graph():
+    # a loss built from constants only has nothing to differentiate; saying
+    # so beats returning with no gradient accumulated anywhere
+    x = ad.constant(rand((2, 2), 5))
+    with pytest.raises(RuntimeError, match="requires_grad"):
+        ad.backward(sum_all(ad.mul(x, x)))
 
 
 def test_backward_graph_single_use():
@@ -456,6 +465,13 @@ def test_adam_missing_grad_rejected():
     p = ad.parameter(rand((2, 2), 41))
     with pytest.raises(ValueError):
         ad.adam_step([p], ad.AdamState())
+    # the error names the parameter by its checkpoint key
+    cfg = EncoderConfig(arch="bilstm", hidden_d=3, signature_dim_s=2, dropout_pd=0.0)
+    model = build_model(cfg, n_feat=2, seed=0)
+    ad.backward(weighted_sum(model.signatures(ad.constant(rand((2, 3, 2), 42)), training=True)))
+    model.named["bilstm0.bwd.w_h"].grad = None
+    with pytest.raises(ValueError, match=r"missing gradient for parameter 'bilstm0\.bwd\.w_h'"):
+        ad.adam_step(model.params, ad.AdamState())
 
 
 def test_adam_matches_reference_trace():

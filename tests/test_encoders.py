@@ -8,9 +8,7 @@ from csireid.csi_core import FeatureSequence
 from csireid.encoders import (
     ARCHES,
     EncoderConfig,
-    LstmEncoder,
-    TransformerEncoder,
-    attention_params,
+    SignatureModel,
     build_model,
     multi_head_attention,
     positional_encoding,
@@ -33,6 +31,26 @@ def rand_seq(p=4, f=5, seed=0):
 def batch(seq):
     """A one-sample (1, P, F) batch."""
     return ad.constant(seq.data[None])
+
+
+def make_model(cfg, n_feat, seed):
+    """A model whose encoder weights are the first draws of ``seed``'s generator."""
+    return SignatureModel(cfg, n_feat, np.random.default_rng(seed))
+
+
+def encoder_params(model):
+    """Every parameter except the signature head's."""
+    return [t for key, t in model.named.items() if not key.startswith("head.")]
+
+
+def cell_prefixes(arch, layer):
+    """Key prefix of each direction's LSTM cell in one layer."""
+    return [f"bilstm{layer}.fwd", f"bilstm{layer}.bwd"] if arch == "bilstm" else [f"lstm{layer}"]
+
+
+def attention_model(d, heads, seed):
+    """A one-block Transformer; its ``tf0.w*`` entries are attention weights."""
+    return make_model(tiny_cfg("transformer", hidden_d=d, heads=heads), d, seed)
 
 
 # ------------------------------------------------------ positional encoding
@@ -68,23 +86,24 @@ def test_positional_encoding_odd_width_rejected():
 def test_attention_uniform_when_queries_vanish():
     rng = np.random.default_rng(1)
     d = 4
-    weights = attention_params(rng, d)
-    weights["wq.w"].values[:] = 0.0
-    weights["wo.w"].values[:] = np.eye(d)
+    weights = attention_model(d, 2, seed=1).named
+    weights["tf0.wq.w"].values[:] = 0.0
+    weights["tf0.wo.w"].values[:] = np.eye(d)
     x = ad.constant(rng.normal(size=(1, 3, d)))
-    out = multi_head_attention(x, weights, heads=2)
-    v = x.values[0] @ weights["wv.w"].values + weights["wv.b"].values
+    out = multi_head_attention(x, weights, "tf0", heads=2)
+    v = x.values[0] @ weights["tf0.wv.w"].values + weights["tf0.wv.b"].values
     np.testing.assert_allclose(out.values[0], np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
 
 def test_attention_matches_oracle():
     rng = np.random.default_rng(2)
-    weights = attention_params(rng, 6)
+    named = attention_model(6, 3, seed=2).named
+    weights = {k.removeprefix("tf0."): t for k, t in named.items() if k.startswith("tf0.w")}
     for name, t in weights.items():
         if name.endswith(".b"):
             t.values[:] = rng.normal(size=t.values.shape)
     x = ad.constant(rng.normal(size=(2, 5, 6)))
-    out = multi_head_attention(x, weights, heads=3)
+    out = multi_head_attention(x, named, "tf0", heads=3)
     want, probs = attention(x.values, {k: t.values for k, t in weights.items()}, heads=3)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
     np.testing.assert_allclose(out.values, want, atol=1e-12)
@@ -92,12 +111,13 @@ def test_attention_matches_oracle():
 
 def test_attention_grad_check():
     rng = np.random.default_rng(3)
-    weights = attention_params(rng, 4)
+    weights = attention_model(4, 2, seed=3).named
     x = ad.constant(rng.normal(size=(1, 3, 4)))
-    tensors = list(weights.values())
+    tensors = [t for k, t in weights.items() if k.startswith("tf0.w")]
+    assert len(tensors) == 8
 
     def f(ts):
-        out = multi_head_attention(x, weights, heads=2)
+        out = multi_head_attention(x, weights, "tf0", heads=2)
         w = ad.constant(np.random.default_rng(9).normal(size=out.values.shape))
         return sum_all(ad.mul(out, w))
 
@@ -109,20 +129,19 @@ def test_attention_grad_check():
 
 def test_lstm_zero_params_zero_output():
     cfg = tiny_cfg("lstm")
-    enc = LstmEncoder(cfg, 5, np.random.default_rng(4))
-    for p in enc.named_params().values():
+    model = make_model(cfg, 5, 4)
+    for p in encoder_params(model):
         p.values[:] = 0.0
-    out = enc.encode(batch(rand_seq()))
+    out = model.encode(batch(rand_seq()))
     np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
 
 
 def test_lstm_single_step_matches_cell_arithmetic():
     cfg = tiny_cfg("lstm")
-    enc = LstmEncoder(cfg, 5, np.random.default_rng(5))
+    model = make_model(cfg, 5, 5)
     seq = rand_seq(p=1, seed=6)
-    out = enc.encode(batch(seq))
-    cell = enc.layers[0]["fwd"]
-    pre = seq.data @ cell["w_x"].values + cell["b"].values
+    out = model.encode(batch(seq))
+    pre = seq.data @ model.named["lstm0.w_x"].values + model.named["lstm0.b"].values
     h = cfg.hidden_d
 
     def sig(z):
@@ -136,12 +155,12 @@ def test_lstm_single_step_matches_cell_arithmetic():
 
 def test_lstm_grad_through_time():
     cfg = tiny_cfg("lstm")
-    enc = LstmEncoder(cfg, 3, np.random.default_rng(7))
+    model = make_model(cfg, 3, 7)
     x = ad.parameter(np.random.default_rng(8).normal(size=(1, 10, 3)))
-    tensors = [x, *enc.named_params().values()]
+    tensors = [x, *encoder_params(model)]
 
     def f(ts):
-        out = enc.encode(x)
+        out = model.encode(x, training=True)
         w = ad.constant(np.random.default_rng(10).normal(size=out.values.shape))
         return sum_all(ad.mul(out, w))
 
@@ -150,8 +169,8 @@ def test_lstm_grad_through_time():
 
 def test_lstm_stacked_shapes():
     cfg = tiny_cfg("lstm", layers_l=2)
-    enc = LstmEncoder(cfg, 5, np.random.default_rng(11))
-    out = enc.encode(batch(rand_seq()), training=True, rng=np.random.default_rng(0))
+    model = make_model(cfg, 5, 11)
+    out = model.encode(batch(rand_seq()), training=True, rng=np.random.default_rng(0))
     assert out.values.shape == (1, 4)
 
 
@@ -160,43 +179,42 @@ def test_lstm_stacked_shapes():
 
 def test_bilstm_zero_params_zero_output():
     cfg = tiny_cfg("bilstm")
-    enc = LstmEncoder(cfg, 5, np.random.default_rng(12))
-    for p in enc.named_params().values():
+    model = make_model(cfg, 5, 12)
+    for p in encoder_params(model):
         p.values[:] = 0.0
-    out = enc.encode(batch(rand_seq()))
+    out = model.encode(batch(rand_seq()))
     np.testing.assert_array_equal(out.values, np.zeros((1, 8)))
 
 
 def test_bilstm_output_width():
     cfg = tiny_cfg("bilstm")
-    enc = LstmEncoder(cfg, 5, np.random.default_rng(13))
-    assert enc.encode(batch(rand_seq())).values.shape == (1, 8)
+    model = make_model(cfg, 5, 13)
+    assert model.encode(batch(rand_seq())).values.shape == (1, 8)
 
 
 def test_bilstm_palindrome_with_tied_weights():
     cfg = tiny_cfg("bilstm")
-    enc = LstmEncoder(cfg, 5, np.random.default_rng(14))
-    layer = enc.layers[0]
+    model = make_model(cfg, 5, 14)
     for key in ("w_x", "w_h", "b"):
-        layer["bwd"][key].values[...] = layer["fwd"][key].values
+        model.named[f"bilstm0.bwd.{key}"].values[...] = model.named[f"bilstm0.fwd.{key}"].values
     rng = np.random.default_rng(15)
     half = rng.normal(size=(3, 5))
     data = np.vstack([half, half[::-1]])
-    out = enc.encode(batch(FeatureSequence(6, 5, data))).values[0]
+    out = model.encode(batch(FeatureSequence(6, 5, data))).values[0]
     np.testing.assert_array_equal(out[:4], out[4:])
 
 
 def test_bilstm_grad_check():
     cfg = tiny_cfg("bilstm")
-    enc = LstmEncoder(cfg, 3, np.random.default_rng(16))
+    model = make_model(cfg, 3, 16)
     x = ad.parameter(np.random.default_rng(17).normal(size=(1, 5, 3)))
 
     def f(ts):
-        out = enc.encode(x)
+        out = model.encode(x, training=True)
         w = ad.constant(np.random.default_rng(18).normal(size=out.values.shape))
         return sum_all(ad.mul(out, w))
 
-    assert ad.grad_check(f, [x, *enc.named_params().values()]) < 1e-5
+    assert ad.grad_check(f, [x, *encoder_params(model)]) < 1e-5
 
 
 @pytest.mark.parametrize("b, p", [(3, 5), (1, 5), (3, 1)])
@@ -204,11 +222,14 @@ def test_bilstm_grad_check():
 @pytest.mark.parametrize("arch", ["lstm", "bilstm"])
 def test_lstm_sequence_matches_oracle(arch, layers_l, b, p):
     cfg = tiny_cfg(arch, layers_l=layers_l, dropout_pd=0.25)
-    enc = LstmEncoder(cfg, 3, np.random.default_rng(40))
+    model = make_model(cfg, 3, 40)
     x = ad.parameter(np.random.default_rng(41).normal(size=(b, p, 3)))
-    tensors = [x, *enc.named_params().values()]
-    cells = [[layer[d] for d in enc.directions] for layer in enc.layers]
-    reverse = [d == "bwd" for d in enc.directions]
+    tensors = [x, *encoder_params(model)]
+    cells = [
+        [{k: model.named[f"{c}.{k}"] for k in ("w_x", "w_h", "b")} for c in cell_prefixes(arch, i)]
+        for i in range(layers_l)
+    ]
+    reverse = [c.endswith(".bwd") for c in cell_prefixes(arch, 0)]
 
     def run(encode):
         for t in tensors:
@@ -218,7 +239,7 @@ def test_lstm_sequence_matches_oracle(arch, layers_l, b, p):
         ad.backward(sum_all(ad.mul(out, w)))
         return out.values, [t.grad.copy() for t in tensors]
 
-    got, got_grads = run(lambda rng: enc.encode(x, training=True, rng=rng))
+    got, got_grads = run(lambda rng: model.encode(x, training=True, rng=rng))
     want, want_grads = run(lambda rng: lstm_encode(x, cells, reverse, 0.75, rng)[1])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     for g, w in zip(got_grads, want_grads):
@@ -266,41 +287,44 @@ def test_bilstm_graph_size_independent_of_packets():
 
 def test_transformer_packet_order_matters():
     cfg = tiny_cfg("transformer")
-    enc = TransformerEncoder(cfg, 5, np.random.default_rng(21))
+    model = make_model(cfg, 5, 21)
     seq = rand_seq(p=6, seed=22)
-    base = enc.encode(batch(seq)).values
+    base = model.encode(batch(seq)).values
     permuted = FeatureSequence(6, 5, seq.data[::-1].copy())
-    swapped = enc.encode(batch(permuted)).values
+    swapped = model.encode(batch(permuted)).values
     assert np.abs(base - swapped).max() > 1e-6
 
 
 def test_transformer_grad_check():
     cfg = tiny_cfg("transformer")
-    enc = TransformerEncoder(cfg, 3, np.random.default_rng(23))
+    model = make_model(cfg, 3, 23)
     x = ad.parameter(np.random.default_rng(24).normal(size=(1, 4, 3)))
 
     def f(ts):
-        out = enc.encode(x)
+        out = model.encode(x, training=True)
         w = ad.constant(np.random.default_rng(25).normal(size=out.values.shape))
         return sum_all(ad.mul(out, w))
 
-    assert ad.grad_check(f, [x, *enc.named_params().values()]) < 1e-4
+    assert ad.grad_check(f, [x, *encoder_params(model)]) < 1e-4
 
 
 def test_transformer_two_layer_train_mode_runs():
     cfg = tiny_cfg("transformer", layers_l=2, dropout_pd=0.2)
-    enc = TransformerEncoder(cfg, 5, np.random.default_rng(26))
-    out = enc.encode(batch(rand_seq()), training=True, rng=np.random.default_rng(1))
+    model = make_model(cfg, 5, 26)
+    out = model.encode(batch(rand_seq()), training=True, rng=np.random.default_rng(1))
     assert out.values.shape == (1, 4)
 
 
 @pytest.mark.parametrize("arch", ARCHES)
 def test_encoders_reject_non_batch_input(arch):
-    enc = build_model(tiny_cfg(arch), n_feat=5, seed=0).encoder
+    model = build_model(tiny_cfg(arch), n_feat=5, seed=0)
     seq = rand_seq()
     for x in (seq, ad.constant(seq.data), ad.constant(seq.data[None, None])):
-        with pytest.raises(ValueError, match="rank-3"):
-            enc.encode(x)
+        for training in (False, True):
+            with pytest.raises(ValueError, match="rank-3"):
+                model.encode(x, training=training)
+            with pytest.raises(ValueError, match="rank-3"):
+                model.signatures(x, training=training)
 
 
 # ----------------------------------------------------------- signature head
@@ -372,7 +396,7 @@ def test_build_model_seed_determinism(arch):
     a = build_model(tiny_cfg(arch), n_feat=5, seed=11)
     b = build_model(tiny_cfg(arch), n_feat=5, seed=11)
     c = build_model(tiny_cfg(arch), n_feat=5, seed=12)
-    for (ka, va), (kb, vb) in zip(a.named_params().items(), b.named_params().items()):
+    for (ka, va), (kb, vb) in zip(a.named.items(), b.named.items()):
         assert ka == kb
         np.testing.assert_array_equal(va.values, vb.values)
     assert any(
@@ -412,6 +436,10 @@ def test_state_dict_keys_pinned(arch):
     # checkpoints are keyed by these names; renaming one orphans saved weights
     model = build_model(tiny_cfg(arch, layers_l=2), n_feat=5, seed=0)
     assert list(model.state_dict()) == STATE_KEYS[arch]
+    # a parameter's name is its key, so errors that name it name the key
+    assert list(model.named) == STATE_KEYS[arch]
+    for key, tensor in model.named.items():
+        assert tensor.name == key
 
 
 def test_state_dict_round_trip():
@@ -452,6 +480,45 @@ def test_end_to_end_input_gradient_all_archs():
             return sum_all(ad.mul(out, w))
 
         assert ad.grad_check(f, x) < 1e-3
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_eval_signatures_build_no_graph(arch):
+    model = build_model(tiny_cfg(arch, layers_l=2, dropout_pd=0.2), n_feat=3, seed=8)
+    x = ad.constant(np.random.default_rng(32).normal(size=(2, 4, 3)))
+    sig = model.signatures(x)
+    assert not sig.requires_grad and sig._parents == ()
+    assert not model.encode(x).requires_grad
+    # the constants share the parameters' arrays: a weight update shows at once
+    model.named["head.b"].values += 1.0
+    moved = model.signatures(x).values
+    assert not np.array_equal(moved, sig.values)
+    model.named["head.b"].values -= 1.0
+    np.testing.assert_array_equal(model.signatures(x).values, sig.values)
+    # training mode reads the parameters themselves and builds a graph
+    train = model.signatures(x, training=True, rng=np.random.default_rng(0))
+    assert train.requires_grad and train._parents
+    for p in model.params:
+        assert p.grad is None
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_eval_input_gradient_matches_training_mode(arch):
+    # at dropout 0 both modes compute the same function; eval mode must
+    # still carry the input gradient while leaving the parameters alone
+    model = build_model(tiny_cfg(arch, layers_l=2), n_feat=3, seed=9)
+    data = np.random.default_rng(33).normal(size=(2, 4, 3))
+    w = ad.constant(np.random.default_rng(34).normal(size=(2, 3)))
+    grads = []
+    for training in (False, True):
+        x = ad.parameter(data)
+        sig = model.signatures(x, training=training)
+        ad.backward(sum_all(ad.mul(sig, w)))
+        grads.append(x.grad)
+        if not training:
+            assert all(p.grad is None for p in model.params)
+    np.testing.assert_array_equal(grads[0], grads[1])
+    assert np.abs(grads[0]).max() > 0
 
 
 def test_config_validation():
