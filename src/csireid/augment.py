@@ -2,8 +2,11 @@
 
 Each call either applies exactly one of three perturbations (additive
 Gaussian noise, global scaling, time shift with mean fill) or passes the
-sample through unchanged. All randomness flows through explicit numpy
-generators so batches rebuild bit-identically from (seed, sample index).
+sample through unchanged. The settings are fixed: a sample is perturbed with
+probability ``APPLY_PROB``; noise has standard deviation ``NOISE_SIGMA``; the
+scale factor is uniform over ``SCALE_RANGE``; the shift is a whole number of
+packets in [-SHIFT_RANGE, SHIFT_RANGE]. All randomness flows through explicit
+numpy generators so batches rebuild bit-identically from (seed, sample index).
 """
 
 from __future__ import annotations
@@ -14,27 +17,15 @@ import numpy as np
 
 from csireid.csi_core import FeatureSequence
 
+APPLY_PROB = 0.9
+NOISE_SIGMA = 0.02
+SCALE_RANGE = (0.9, 1.1)
+SHIFT_RANGE = 5
+
 
 @dataclass(frozen=True)
 class AugmentPolicy:
-    apply_prob: float = 0.9
-    noise_sigma: float = 0.02
-    scale_range: tuple[float, float] = (0.9, 1.1)
-    shift_range: int = 5
     rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.apply_prob <= 1.0:
-            raise ValueError("apply_prob must be in [0, 1]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        low, high = self.scale_range
-        if low > high:
-            raise ValueError("scale_range low must be <= high")
-        if low <= 0:
-            raise ValueError("scale_range must be positive")
-        if self.shift_range < 0:
-            raise ValueError("shift_range must be >= 0")
 
 
 def sample_rng(policy: AugmentPolicy, sample_index: int) -> np.random.Generator:
@@ -82,14 +73,12 @@ def time_shift(seq: FeatureSequence, t_shift: int) -> FeatureSequence:
 def apply_policy(
     seq: FeatureSequence, policy: AugmentPolicy, rng: np.random.Generator
 ) -> FeatureSequence:
-    """Gate on apply_prob, then apply one uniformly chosen augmentation."""
-    if rng.random() >= policy.apply_prob:
+    """Gate on APPLY_PROB, then apply one uniformly chosen augmentation."""
+    if rng.random() >= APPLY_PROB:
         return FeatureSequence(seq.n_pkt, seq.n_feat, seq.data.copy())
     which = int(rng.integers(3))
     if which == 0:
-        return add_gaussian_noise(seq, policy.noise_sigma, rng)
+        return add_gaussian_noise(seq, NOISE_SIGMA, rng)
     if which == 1:
-        low, high = policy.scale_range
-        return scale_amplitude(seq, float(rng.uniform(low, high)))
-    bound = policy.shift_range
-    return time_shift(seq, int(rng.integers(-bound, bound + 1)))
+        return scale_amplitude(seq, float(rng.uniform(*SCALE_RANGE)))
+    return time_shift(seq, int(rng.integers(-SHIFT_RANGE, SHIFT_RANGE + 1)))

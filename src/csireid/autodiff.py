@@ -9,6 +9,10 @@ Adam optimizer, the step-decay learning-rate schedule, the finite-difference
 gradient checker, and the binary parameter checkpoint format shared by all
 models, which is read, encoded and written with the codec in
 :mod:`csireid.csi_core`.
+
+Ops do not check their outputs for non-finite values. :func:`adam_step`, the
+one place that writes weights, rejects a non-finite gradient and names the
+parameter it belongs to before it changes any state.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import numpy as np
 
 from csireid.csi_core import BinaryReader, f32_bytes, write_file
 
-_DEBUG_FINITE = False
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NumericError(Exception):
@@ -30,12 +36,6 @@ class NumericError(Exception):
 
 class CheckpointFormatError(Exception):
     """Raised when a parameter checkpoint file is malformed."""
-
-
-def set_debug(enabled: bool) -> None:
-    """Toggle per-op finiteness checks (slow; for debugging training blowups)."""
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(enabled)
 
 
 class DiffTensor:
@@ -74,8 +74,6 @@ def constant(values, name: str = "") -> DiffTensor:
 
 
 def _make(values: np.ndarray, parents: tuple[DiffTensor, ...]) -> DiffTensor:
-    if _DEBUG_FINITE and not np.all(np.isfinite(values)):
-        raise NumericError("non-finite values in forward op")
     for p in parents:
         if p._consumed:
             raise RuntimeError("graph already consumed; rebuild from leaf tensors")
@@ -218,16 +216,14 @@ def reshape(a: DiffTensor, shape: tuple[int, ...]) -> DiffTensor:
     return out
 
 
-def mean_axis(a: DiffTensor, axis: int, keepdims: bool = False) -> DiffTensor:
-    out = _make(a.values.mean(axis=axis, keepdims=keepdims), (a,))
+def mean_axis(a: DiffTensor, axis: int) -> DiffTensor:
+    out = _make(a.values.mean(axis=axis), (a,))
     if out.requires_grad:
         count = a.values.shape[axis]
         shape = a.values.shape
 
         def bw(g):
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g / count, shape), owned=False)
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis) / count, shape), owned=False)
 
         out._backward = bw
     return out
@@ -271,18 +267,6 @@ def rectifier(a: DiffTensor) -> DiffTensor:
     return out
 
 
-def exp(a: DiffTensor) -> DiffTensor:
-    vals = np.exp(a.values)
-    out = _make(vals, (a,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(a, g * vals, owned=True)
-
-        out._backward = bw
-    return out
-
-
 def log(a: DiffTensor) -> DiffTensor:
     out = _make(np.log(a.values), (a,))
     if out.requires_grad:
@@ -312,12 +296,12 @@ def softmax_axis(a: DiffTensor, axis: int) -> DiffTensor:
     return out
 
 
-def layer_norm(a: DiffTensor, gain: DiffTensor, bias: DiffTensor, eps: float = 1e-5) -> DiffTensor:
+def layer_norm(a: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x = a.values
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x - mu) * inv
     out = _make(xhat * gain.values + bias.values, (a, gain, bias))
     if out.requires_grad:
@@ -606,15 +590,18 @@ def grad_check(f, x, eps: float = 1e-4) -> float:
 
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one parameter list."""
+    """Adam moments and learning rate for one parameter list.
+
+    ``lr`` is the only setting. The decay rates and the denominator epsilon
+    are the fixed ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``, the
+    defaults recommended in "Adam: A Method for Stochastic Optimization"
+    (Kingma & Ba, arXiv 1412.6980).
+    """
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
+    step_count: int = field(default=0, init=False)
+    first_moment: list = field(default_factory=list, init=False)
+    second_moment: list = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if not self.lr > 0:
@@ -622,26 +609,32 @@ class AdamState:
 
 
 def adam_step(params: list[DiffTensor], state: AdamState) -> None:
-    """One bias-corrected Adam update; gradients are cleared afterward."""
+    """One bias-corrected Adam update; gradients are cleared afterward.
+
+    A missing or non-finite gradient raises before any value, moment or the
+    step count changes.
+    """
+    for p in params:
+        if p.grad is None:
+            raise ValueError(f"missing gradient for parameter {p.name!r}")
+        if not np.isfinite(p.grad).all():
+            raise NumericError(f"non-finite gradient for parameter {p.name!r}")
     if not state.first_moment:
         state.first_moment = [np.zeros_like(p.values) for p in params]
         state.second_moment = [np.zeros_like(p.values) for p in params]
     if len(state.first_moment) != len(params):
         raise ValueError("optimizer state does not match parameter list")
-    for p in params:
-        if p.grad is None:
-            raise ValueError(f"missing gradient for parameter {p.name!r}")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for p, m, v in zip(params, state.first_moment, state.second_moment):
         g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.values -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.values -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.grad = None
 
 

@@ -281,12 +281,13 @@ def load_manifest(path: str | Path) -> Manifest:
             if rel in seen:
                 raise CsbFormatError(f"{path}:{i}: duplicate path {rel!r}")
             seen.add(rel)
-            try:
-                subject = int(row["subject_id"])
-            except (TypeError, ValueError) as exc:
-                raise CsbFormatError(f"{path}:{i}: bad subject_id") from exc
-            if subject < 0:
-                raise CsbFormatError(f"{path}:{i}: negative subject_id")
+            # ASCII digits only: int() also takes signs, spaces, underscores
+            # and non-ASCII digits; a CSB header holds at most 2**32 - 1
+            text = row["subject_id"] or ""
+            digits = text.isascii() and text.isdigit() and len(text.lstrip("0")) <= 10
+            if not digits or int(text) >= 2**32:
+                raise CsbFormatError(f"{path}:{i}: bad subject_id")
+            subject = int(text)
             scen_name = (row["scenario"] or "").upper()
             if scen_name not in Scenario.__members__:
                 raise CsbFormatError(f"{path}:{i}: unknown scenario {row['scenario']!r}")

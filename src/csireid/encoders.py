@@ -152,6 +152,8 @@ class SignatureModel:
     """
 
     def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
+        if n_feat < 1:
+            raise ValueError("n_feat must be >= 1")
         self.cfg = cfg
         self.n_feat = n_feat
         self.named: dict[str, ad.DiffTensor] = {}

@@ -177,14 +177,14 @@ def unwrap_phase(phase_row: np.ndarray) -> np.ndarray:
     return np.concatenate([x[..., :1], x[..., 1:] + adjust], axis=-1)
 
 
-def sanitize_phase(phase: FeatureSequence, n_sub: int | None = None) -> FeatureSequence:
+def sanitize_phase(phase: FeatureSequence, n_sub: int) -> FeatureSequence:
     """Remove the linear-in-subcarrier term from each phase row.
 
-    Rows of length K = ``n_sub`` (default: the full feature width) are formed
-    per packet and antenna pair. Per row, after unwrapping: the endpoint
-    slope a = (phi_K - phi_1)/(m_K - m_1) over the centered subcarrier index
-    m_k = k - (K-1)/2, the offset b = mean(phi), and the output
-    phi_k - a*m_k - b. Real subcarrier positions are not modelled.
+    Rows of length K = ``n_sub`` are formed per packet and antenna pair. Per
+    row, after unwrapping: the endpoint slope a = (phi_K - phi_1)/(m_K - m_1)
+    over the centered subcarrier index m_k = k - (K-1)/2, the offset
+    b = mean(phi), and the output phi_k - a*m_k - b. Real subcarrier
+    positions are not modelled.
 
     The line through the endpoints is subtracted in interpolation form, so
     both endpoint residuals are identically 0.0 before the mean is removed
@@ -192,7 +192,7 @@ def sanitize_phase(phase: FeatureSequence, n_sub: int | None = None) -> FeatureS
     centered index has mean 0, subtracting the residual's mean leaves
     exactly phi_k - a*m_k - b.
     """
-    k = n_sub if n_sub is not None else phase.n_feat
+    k = n_sub
     if k < 2:
         raise ValueError("need at least 2 subcarriers per row")
     if phase.n_feat % k != 0:

@@ -63,15 +63,6 @@ def test_softmax_empty_axis_rejected():
         ad.softmax_axis(ad.constant(np.zeros((2, 0))), axis=1)
 
 
-def test_debug_mode_flags_nonfinite():
-    ad.set_debug(True)
-    try:
-        with np.errstate(over="ignore"), pytest.raises(ad.NumericError):
-            ad.exp(ad.constant(np.array([[1e4]])))
-    finally:
-        ad.set_debug(False)
-
-
 # --------------------------------------------------------------- backward
 
 
@@ -237,7 +228,7 @@ def test_grad_reshape():
 def test_grad_mean_axis():
     x = ad.parameter(rand((3, 5), 26))
     assert check_unary(lambda t: ad.mean_axis(t, axis=0), x) < TOL
-    assert check_unary(lambda t: ad.mean_axis(t, axis=1, keepdims=True), x) < TOL
+    assert check_unary(lambda t: ad.mean_axis(t, axis=1), x) < TOL
 
 
 def test_grad_sigmoid():
@@ -251,11 +242,6 @@ def test_grad_rectifier():
     vals = np.where(np.abs(vals) < 0.05, 0.2, vals)
     x = ad.parameter(vals)
     assert check_unary(ad.rectifier, x) < TOL
-
-
-def test_grad_exp():
-    x = ad.parameter(rand((3, 3), 29))
-    assert check_unary(ad.exp, x) < TOL
 
 
 def test_grad_log():
@@ -472,6 +458,41 @@ def test_adam_missing_grad_rejected():
     model.named["bilstm0.bwd.w_h"].grad = None
     with pytest.raises(ValueError, match=r"missing gradient for parameter 'bilstm0\.bwd\.w_h'"):
         ad.adam_step(model.params, ad.AdamState())
+
+
+def test_adam_rejects_nonfinite_gradient():
+    cfg = EncoderConfig(arch="bilstm", hidden_d=3, signature_dim_s=2, dropout_pd=0.0)
+    model = build_model(cfg, n_feat=2, seed=0)
+    x = rand((2, 3, 2), 43)
+    state = ad.AdamState(lr=1e-3)
+
+    def snapshot():
+        arrays = [p.values for p in model.params] + state.first_moment + state.second_moment
+        return state.step_count, [a.copy() for a in arrays]
+
+    def step_with(bad=None):
+        ad.backward(weighted_sum(model.signatures(ad.constant(x), training=True)))
+        if bad is not None:
+            model.named["bilstm0.bwd.w_h"].grad[1, 2] = bad
+        ad.adam_step(model.params, state)
+
+    def assert_rejected(bad):
+        count, arrays = snapshot()
+        with pytest.raises(ad.NumericError, match=r"non-finite gradient for parameter 'bilstm0\.bwd\.w_h'"):
+            step_with(bad)
+        after_count, after = snapshot()
+        assert after_count == count
+        assert len(after) == len(arrays)
+        for a, b in zip(after, arrays):
+            np.testing.assert_array_equal(a, b)
+        for p in model.params:
+            p.grad = None
+
+    assert_rejected(np.nan)  # fresh state: no moments are made
+    step_with()
+    assert_rejected(np.nan)
+    assert_rejected(np.inf)
+    assert state.step_count == 1
 
 
 def test_adam_matches_reference_trace():

@@ -274,6 +274,25 @@ def test_manifest_extra_fields_rejected(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "subject", ["1_2", " 7 ", "+3", "\u0663", "4294967296", "9" * 5000, "-1"]
+)
+def test_manifest_bad_subject_id_rejected(tmp_path, subject):
+    path = tmp_path / "manifest.csv"
+    path.write_text(
+        f"path,subject_id,scenario,split\na.csb,0,tshirt,train\nb.csb,{subject},coat,test\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(CsbFormatError, match=r"manifest.csv:3: bad subject_id$"):
+        load_manifest(path)
+
+
+def test_manifest_largest_subject_id(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("path,subject_id,scenario,split\na.csb,04294967295,coat,test\n")
+    assert load_manifest(path).entries[0].subject_id == 2**32 - 1
+
+
 def test_manifest_bad_header_rejected(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("file,subject,scenario,split\n")

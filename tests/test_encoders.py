@@ -530,3 +530,14 @@ def test_config_validation():
         EncoderConfig(layers_l=0)
     with pytest.raises(ValueError):
         EncoderConfig(dropout_pd=1.0)
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_zero_features_rejected_before_drawing(arch):
+    with pytest.raises(ValueError, match=r"n_feat must be >= 1"):
+        build_model(tiny_cfg(arch), n_feat=0, seed=0)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"n_feat must be >= 1"):
+        SignatureModel(tiny_cfg(arch), -1, rng)
+    assert rng.bit_generator.state == before

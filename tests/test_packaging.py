@@ -1,13 +1,17 @@
 """Every console script that pyproject.toml declares, and every package
 name the benchmark calls, must resolve."""
 
+import dataclasses
 import importlib
 import tomllib
 from pathlib import Path
 
 import numpy as np
 
+from csireid import augment as aug
 from csireid import autodiff as ad
+from csireid import csi_core as core
+from csireid import preprocess as pre
 from csireid.encoders import EncoderConfig, build_model
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -65,3 +69,38 @@ def test_benchmark_model_surface():
     assert sig.values.shape == (1, 3)
     assert model.signatures(x).values.shape == (1, 3)
     model.load_state_dict(model.state_dict())
+
+
+def test_benchmark_keywords_accepted():
+    # exactly the keywords perfbench/ passes
+    assert ad.AdamState(lr=1e-3).lr == 1e-3
+    assert aug.AugmentPolicy(rng_seed=3).rng_seed == 3
+    sched = ad.StepDecaySchedule(base_lr=1e-3, gamma=0.9, step_epochs=2)
+    assert ad.schedule_lr(sched, 2) == 1e-3 * 0.9
+    assert EncoderConfig(arch="bilstm").arch == "bilstm"
+    hampel = pre.HampelConfig()
+    assert (hampel.window_w, hampel.xi) == (5, 3.0)
+    seq = core.FeatureSequence(2, 4, np.arange(8.0).reshape(2, 4))
+    assert pre.sanitize_phase(seq, n_sub=2).data.shape == (2, 4)
+    record = core.SampleRecord(
+        0, core.Scenario.TSHIRT, seq, core.PayloadKind.AMPLITUDE, dims=(1, 1, 4, 2)
+    )
+    assert record.dims == (1, 1, 4, 2)
+    x = ad.parameter(np.array([[0.5, -1.0]]))
+    assert ad.grad_check(lambda t: ad.mean_axis(ad.mean_axis(t, axis=1), axis=0), x, eps=1e-6) < 1e-9
+
+
+# The settable fields of each config. Adding a knob means editing this on
+# purpose; removing one the benchmark passes fails the test above.
+CONFIG_FIELDS = {
+    ad.AdamState: ("lr",),
+    aug.AugmentPolicy: ("rng_seed",),
+    pre.HampelConfig: ("window_w", "xi"),
+    ad.StepDecaySchedule: ("base_lr", "gamma", "step_epochs"),
+    EncoderConfig: ("arch", "layers_l", "hidden_d", "heads", "dropout_pd", "signature_dim_s"),
+}
+
+
+def test_config_fields_pinned():
+    for cls, names in CONFIG_FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(cls) if f.init) == names, cls.__name__

@@ -239,13 +239,13 @@ def test_unwrap_preserves_values_mod_two_pi(rnd):
 def test_sanitize_removes_pure_linear_phase():
     m = np.arange(9) - 4.0
     rows = np.tile(0.7 * m + 0.2, (4, 1))
-    out = sanitize_phase(FeatureSequence(4, 9, rows))
+    out = sanitize_phase(FeatureSequence(4, 9, rows), n_sub=9)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
 
 def test_sanitize_constant_row_to_zeros():
     rows = np.full((3, 7), 1.3)
-    out = sanitize_phase(FeatureSequence(3, 7, rows))
+    out = sanitize_phase(FeatureSequence(3, 7, rows), n_sub=7)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
@@ -266,7 +266,7 @@ def test_sanitize_groups_independent():
     k = 6
     rows = rng.uniform(-1, 1, size=(4, 2 * k))
     both = sanitize_phase(FeatureSequence(4, 2 * k, rows), n_sub=k)
-    left = sanitize_phase(FeatureSequence(4, k, rows[:, :k]))
+    left = sanitize_phase(FeatureSequence(4, k, rows[:, :k]), n_sub=k)
     np.testing.assert_array_equal(both.data[:, :k], left.data)
 
 
@@ -305,7 +305,7 @@ def test_sanitize_validation():
     with pytest.raises(ValueError):
         sanitize_phase(FeatureSequence(2, 7, np.zeros((2, 7))), n_sub=3)
     with pytest.raises(ValueError):
-        sanitize_phase(FeatureSequence(2, 1, np.zeros((2, 1))))
+        sanitize_phase(FeatureSequence(2, 1, np.zeros((2, 1))), n_sub=1)
 
 
 # ------------------------------------------------------------------- layout
