@@ -1,7 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Forward ops build a single-use graph of closures; backward walks it once in
-topological order and accumulates gradients into every requires_grad leaf.
+Forward ops build a single-use graph. Each op's output node keeps its
+parents and a closure, its vector-Jacobian product, that maps the output's
+gradient to one gradient per parent: a fresh array that nothing else holds,
+or None for a parent that needs none. Ops never touch ``grad``.
+:func:`backward` walks the graph once in reverse topological order and is
+the one place that accumulates: it adopts a parent's first gradient and adds
+later ones into it in place. So an op whose gradient would be a view of its
+incoming gradient (``concat``, ``transpose``, ``reshape``, ``mean_axis``,
+and ``add`` without broadcasting) returns a copy.
+
 Most ops are elementary; :func:`lstm_sequence` is one fused node for a whole
 (bi-directional) LSTM layer, with backpropagation through time written by
 hand, so the graph does not grow with sequence length. Also home to the
@@ -11,8 +19,9 @@ models, which is read, encoded and written with the codec in
 :mod:`csireid.csi_core`.
 
 Ops do not check their outputs for non-finite values. :func:`adam_step`, the
-one place that writes weights, rejects a non-finite gradient and names the
-parameter it belongs to before it changes any state.
+one place that writes weights, rejects a non-finite gradient or learning
+rate and names the parameter a bad gradient belongs to before it changes
+any state.
 """
 
 from __future__ import annotations
@@ -39,10 +48,12 @@ class CheckpointFormatError(Exception):
 
 
 class DiffTensor:
-    """A float64 array plus gradient accumulator and graph linkage.
+    """A float64 array plus its gradient and graph linkage.
 
-    Graphs are single-use: once backward() has consumed a node, building on
-    it or differentiating through it again raises.
+    ``grad`` is written only by :func:`backward`, which owns the array it
+    holds; :func:`adam_step` reads and clears it. Graphs are single-use:
+    once backward() has consumed a node, building on it or differentiating
+    through it again raises.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backward", "_consumed")
@@ -73,29 +84,33 @@ def constant(values, name: str = "") -> DiffTensor:
     return DiffTensor(values, requires_grad=False, name=name)
 
 
-def _make(values: np.ndarray, parents: tuple[DiffTensor, ...]) -> DiffTensor:
+def _make(values: np.ndarray, parents: tuple[DiffTensor, ...], bw) -> DiffTensor:
+    """The output node of an op over ``parents``.
+
+    ``bw`` is the op's vector-Jacobian product, kept only when a parent
+    requires grad: ``bw(g)`` maps the output's gradient ``g`` to one
+    gradient per parent, in parent order, with None for a parent that needs
+    none. Each returned array must be one that nothing else holds, neither
+    ``g`` nor another returned array, because :func:`backward` adopts it as
+    the parent's ``grad`` and later adds into it in place; an op whose
+    gradient would be a view of ``g`` returns a copy. Work that only the
+    backward pass needs belongs inside ``bw``, so eval-mode forward passes
+    do none of it.
+    """
     for p in parents:
         if p._consumed:
             raise RuntimeError("graph already consumed; rebuild from leaf tensors")
     out = DiffTensor(values)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
+        out._backward = bw
     return out
 
 
-def _accum(t: DiffTensor, g: np.ndarray, owned: bool) -> None:
-    """Add g into t.grad; ``owned`` means g is fresh and safe to adopt."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = g if owned and isinstance(g, np.ndarray) and g.base is None else np.array(g)
-    else:
-        t.grad += g
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to ``shape``, undoing numpy broadcasting."""
+    """Sum g down to ``shape``, undoing numpy broadcasting; g itself when
+    the shapes already match."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
@@ -107,176 +122,130 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _unbroadcast_copy(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """:func:`_unbroadcast` as an array that g does not share."""
+    out = _unbroadcast(g, shape)
+    return np.array(out) if out is g else out
+
+
 # ------------------------------------------------------------- primitives
+#
+# matmul, mul, layer_norm and lstm_sequence skip the gradient of a parent
+# that does not require grad, since it costs as much as the others; the
+# cheap ops return every parent's gradient and backward drops the unused.
 
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """Batched matrix product with numpy broadcasting over leading axes."""
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
-    out = _make(np.matmul(a.values, b.values), (a, b))
-    if out.requires_grad:
-        av, bv = a.values, b.values
+    av, bv = a.values, b.values
 
-        def bw(g):
-            if a.requires_grad:
-                da = np.matmul(g, np.swapaxes(bv, -1, -2))
-                _accum(a, _unbroadcast(da, av.shape), owned=True)
-            if b.requires_grad:
-                db = np.matmul(np.swapaxes(av, -1, -2), g)
-                _accum(b, _unbroadcast(db, bv.shape), owned=True)
+    def bw(g):
+        da = db = None
+        if a.requires_grad:
+            da = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
+        if b.requires_grad:
+            db = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
+        return da, db
 
-        out._backward = bw
-    return out
+    return _make(np.matmul(av, bv), (a, b), bw)
 
 
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    out = _make(a.values + b.values, (a, b))
-    if out.requires_grad:
+    def bw(g):
+        return _unbroadcast_copy(g, a.values.shape), _unbroadcast_copy(g, b.values.shape)
 
-        def bw(g):
-            if a.requires_grad:
-                ga = _unbroadcast(g, a.values.shape)
-                _accum(a, ga, owned=ga is not g)
-            if b.requires_grad:
-                gb = _unbroadcast(g, b.values.shape)
-                _accum(b, gb, owned=gb is not g)
-
-        out._backward = bw
-    return out
+    return _make(a.values + b.values, (a, b), bw)
 
 
 def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    out = _make(a.values * b.values, (a, b))
-    if out.requires_grad:
-        av, bv = a.values, b.values
+    av, bv = a.values, b.values
 
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * bv, av.shape), owned=True)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * av, bv.shape), owned=True)
+    def bw(g):
+        da = _unbroadcast(g * bv, av.shape) if a.requires_grad else None
+        db = _unbroadcast(g * av, bv.shape) if b.requires_grad else None
+        return da, db
 
-        out._backward = bw
-    return out
+    return _make(av * bv, (a, b), bw)
 
 
 def concat(tensors: list[DiffTensor], axis: int) -> DiffTensor:
     if not tensors:
         raise ValueError("concat needs at least one tensor")
-    out = _make(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.values.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
 
-        def bw(g):
-            for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-                _accum(t, piece, owned=False)
+    def bw(g):
+        splits = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
+        return [np.array(piece) for piece in np.split(g, splits, axis=axis)]
 
-        out._backward = bw
-    return out
+    return _make(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors), bw)
 
 
 def take_slice(a: DiffTensor, index) -> DiffTensor:
     """Basic indexing (ints and slices); gradient scatters back into place."""
-    out = _make(np.ascontiguousarray(a.values[index]), (a,))
-    if out.requires_grad:
-        shape = a.values.shape
 
-        def bw(g):
-            buf = np.zeros(shape)
-            buf[index] = g
-            _accum(a, buf, owned=True)
+    def bw(g):
+        buf = np.zeros(a.values.shape)
+        buf[index] = g
+        return (buf,)
 
-        out._backward = bw
-    return out
+    return _make(np.ascontiguousarray(a.values[index]), (a,), bw)
 
 
 def transpose(a: DiffTensor, axes: tuple[int, ...]) -> DiffTensor:
-    out = _make(np.ascontiguousarray(np.transpose(a.values, axes)), (a,))
-    if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
+    def bw(g):
+        return (np.array(np.transpose(g, tuple(np.argsort(axes)))),)
 
-        def bw(g):
-            _accum(a, np.transpose(g, inverse), owned=False)
-
-        out._backward = bw
-    return out
+    return _make(np.ascontiguousarray(np.transpose(a.values, axes)), (a,), bw)
 
 
 def reshape(a: DiffTensor, shape: tuple[int, ...]) -> DiffTensor:
-    out = _make(a.values.reshape(shape), (a,))
-    if out.requires_grad:
-        orig = a.values.shape
+    def bw(g):
+        return (np.array(g.reshape(a.values.shape)),)
 
-        def bw(g):
-            _accum(a, g.reshape(orig), owned=False)
-
-        out._backward = bw
-    return out
+    return _make(a.values.reshape(shape), (a,), bw)
 
 
 def mean_axis(a: DiffTensor, axis: int) -> DiffTensor:
-    out = _make(a.values.mean(axis=axis), (a,))
-    if out.requires_grad:
-        count = a.values.shape[axis]
+    def bw(g):
         shape = a.values.shape
+        return (np.array(np.broadcast_to(np.expand_dims(g, axis) / shape[axis], shape)),)
 
-        def bw(g):
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis) / count, shape), owned=False)
-
-        out._backward = bw
-    return out
+    return _make(a.values.mean(axis=axis), (a,), bw)
 
 
 def tanh(a: DiffTensor) -> DiffTensor:
     vals = np.tanh(a.values)
-    out = _make(vals, (a,))
-    if out.requires_grad:
 
-        def bw(g):
-            _accum(a, g * (1.0 - vals * vals), owned=True)
+    def bw(g):
+        return (g * (1.0 - vals * vals),)
 
-        out._backward = bw
-    return out
+    return _make(vals, (a,), bw)
 
 
 def sigmoid(a: DiffTensor) -> DiffTensor:
     x = a.values
     e = np.exp(-np.abs(x))
     vals = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = _make(vals, (a,))
-    if out.requires_grad:
 
-        def bw(g):
-            _accum(a, g * vals * (1.0 - vals), owned=True)
+    def bw(g):
+        return (g * vals * (1.0 - vals),)
 
-        out._backward = bw
-    return out
+    return _make(vals, (a,), bw)
 
 
 def rectifier(a: DiffTensor) -> DiffTensor:
-    out = _make(np.maximum(a.values, 0.0), (a,))
-    if out.requires_grad:
-        pos = a.values > 0
+    def bw(g):
+        return (g * (a.values > 0),)
 
-        def bw(g):
-            _accum(a, g * pos, owned=True)
-
-        out._backward = bw
-    return out
+    return _make(np.maximum(a.values, 0.0), (a,), bw)
 
 
 def log(a: DiffTensor) -> DiffTensor:
-    out = _make(np.log(a.values), (a,))
-    if out.requires_grad:
-        av = a.values
+    def bw(g):
+        return (g / a.values,)
 
-        def bw(g):
-            _accum(a, g / av, owned=True)
-
-        out._backward = bw
-    return out
+    return _make(np.log(a.values), (a,), bw)
 
 
 def softmax_axis(a: DiffTensor, axis: int) -> DiffTensor:
@@ -285,15 +254,12 @@ def softmax_axis(a: DiffTensor, axis: int) -> DiffTensor:
     z = a.values - a.values.max(axis=axis, keepdims=True)
     ez = np.exp(z)
     vals = ez / ez.sum(axis=axis, keepdims=True)
-    out = _make(vals, (a,))
-    if out.requires_grad:
 
-        def bw(g):
-            inner = (g * vals).sum(axis=axis, keepdims=True)
-            _accum(a, vals * (g - inner), owned=True)
+    def bw(g):
+        inner = (g * vals).sum(axis=axis, keepdims=True)
+        return (vals * (g - inner),)
 
-        out._backward = bw
-    return out
+    return _make(vals, (a,), bw)
 
 
 def layer_norm(a: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
@@ -303,25 +269,22 @@ def layer_norm(a: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x - mu) * inv
-    out = _make(xhat * gain.values + bias.values, (a, gain, bias))
-    if out.requires_grad:
-        n = x.shape[-1]
-        gv = gain.values
+    gv = gain.values
 
-        def bw(g):
-            if a.requires_grad:
-                dxhat = g * gv
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                _accum(a, inv * (dxhat - m1 - xhat * m2), owned=True)
-            if gain.requires_grad:
-                _accum(gain, _unbroadcast(g * xhat, gv.shape), owned=True)
-            if bias.requires_grad:
-                gb = _unbroadcast(g, bias.values.shape)
-                _accum(bias, gb, owned=gb is not g)
+    def bw(g):
+        da = dgain = dbias = None
+        if a.requires_grad:
+            dxhat = g * gv
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            da = inv * (dxhat - m1 - xhat * m2)
+        if gain.requires_grad:
+            dgain = _unbroadcast(g * xhat, gv.shape)
+        if bias.requires_grad:
+            dbias = _unbroadcast_copy(g, bias.values.shape)
+        return da, dgain, dbias
 
-        out._backward = bw
-    return out
+    return _make(xhat * gv + bias.values, (a, gain, bias), bw)
 
 
 def dropout(
@@ -338,14 +301,11 @@ def dropout(
     if rng is None:
         raise ValueError("training-mode dropout needs a generator")
     mask = (rng.random(a.values.shape) < keep_prob) / keep_prob
-    out = _make(a.values * mask, (a,))
-    if out.requires_grad:
 
-        def bw(g):
-            _accum(a, g * mask, owned=True)
+    def bw(g):
+        return (g * mask,)
 
-        out._backward = bw
-    return out
+    return _make(a.values * mask, (a,), bw)
 
 
 def l2_normalize_axis(a: DiffTensor, axis: int) -> DiffTensor:
@@ -354,15 +314,12 @@ def l2_normalize_axis(a: DiffTensor, axis: int) -> DiffTensor:
     norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
     norm = np.maximum(norm, 1e-30)
     vals = x / norm
-    out = _make(vals, (a,))
-    if out.requires_grad:
 
-        def bw(g):
-            inner = (g * vals).sum(axis=axis, keepdims=True)
-            _accum(a, (g - vals * inner) / norm, owned=True)
+    def bw(g):
+        inner = (g * vals).sum(axis=axis, keepdims=True)
+        return ((g - vals * inner) / norm,)
 
-        out._backward = bw
-    return out
+    return _make(vals, (a,), bw)
 
 
 def lstm_sequence(
@@ -445,71 +402,76 @@ def lstm_sequence(
     values = np.empty((n_b, n_p, n_dir * hid))
     for d in range(n_dir):
         values[:, order[d], d * hid : (d + 1) * hid] = states[d, 1:].transpose(1, 0, 2)
-    out = _make(values, (x, *w_x, *w_h, *b))
-    if out.requires_grad:
 
-        def bw(g):
-            act = gates.reshape(n_dir, n_p, n_b, 4, hid)
-            i, f, gg, o = (act[:, :, :, k] for k in range(4))
-            # dz per unit of dc for i, f, g and per unit of dh for o; the
-            # loop scales it in place into the pre-activation gradient
-            dz = np.subtract(1.0, act)
-            dz *= act
-            dz[:, :, :, 0] *= gg
-            dz[:, :, :, 1] *= cells[:, :-1]
-            np.multiply(gg, gg, out=dz[:, :, :, 2])
-            np.subtract(1.0, dz[:, :, :, 2], out=dz[:, :, :, 2])
-            dz[:, :, :, 2] *= i
-            dz[:, :, :, 3] *= tanh_c
-            dc_dh = np.multiply(tanh_c, tanh_c)
-            np.subtract(1.0, dc_dh, out=dc_dh)
-            dc_dh *= o
-            dh_out = np.empty((n_dir, n_p, n_b, hid))
-            for d in range(n_dir):
-                dh_out[d] = g[:, order[d], d * hid : (d + 1) * hid].transpose(1, 0, 2)
-            wh_t = np.stack([w.values for w in w_h]).transpose(0, 2, 1)
-            dh = np.zeros((n_dir, n_b, hid))
-            dc = np.zeros((n_dir, n_b, hid))
-            tmp = np.empty((n_dir, n_b, hid))
-            # dh and dc carry the gradient of step s's h and c from later steps
-            for s in range(n_p - 1, -1, -1):
-                dh += dh_out[:, s]
-                np.multiply(dh, dc_dh[:, s], out=tmp)
-                dc += tmp
-                dz[:, s, :, :3] *= dc[:, :, None]
-                dz[:, s, :, 3] *= dh
-                dc *= f[:, s]
-                np.matmul(dz[:, s].reshape(n_dir, n_b, 4 * hid), wh_t, out=dh)
+    def bw(g):
+        act = gates.reshape(n_dir, n_p, n_b, 4, hid)
+        i, f, gg, o = (act[:, :, :, k] for k in range(4))
+        # dz per unit of dc for i, f, g and per unit of dh for o; the
+        # loop scales it in place into the pre-activation gradient
+        dz = np.subtract(1.0, act)
+        dz *= act
+        dz[:, :, :, 0] *= gg
+        dz[:, :, :, 1] *= cells[:, :-1]
+        np.multiply(gg, gg, out=dz[:, :, :, 2])
+        np.subtract(1.0, dz[:, :, :, 2], out=dz[:, :, :, 2])
+        dz[:, :, :, 2] *= i
+        dz[:, :, :, 3] *= tanh_c
+        dc_dh = np.multiply(tanh_c, tanh_c)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        dh_out = np.empty((n_dir, n_p, n_b, hid))
+        for d in range(n_dir):
+            dh_out[d] = g[:, order[d], d * hid : (d + 1) * hid].transpose(1, 0, 2)
+        wh_t = np.stack([w.values for w in w_h]).transpose(0, 2, 1)
+        dh = np.zeros((n_dir, n_b, hid))
+        dc = np.zeros((n_dir, n_b, hid))
+        tmp = np.empty((n_dir, n_b, hid))
+        # dh and dc carry the gradient of step s's h and c from later steps
+        for s in range(n_p - 1, -1, -1):
+            dh += dh_out[:, s]
+            np.multiply(dh, dc_dh[:, s], out=tmp)
+            dc += tmp
+            dz[:, s, :, :3] *= dc[:, :, None]
+            dz[:, s, :, 3] *= dh
+            dc *= f[:, s]
+            np.matmul(dz[:, s].reshape(n_dir, n_b, 4 * hid), wh_t, out=dh)
 
-            dz = dz.reshape(n_dir, n_p * n_b, 4 * hid)
-            dx = np.zeros_like(x.values) if x.requires_grad else None
-            for d in range(n_dir):
-                if w_x[d].requires_grad:
-                    xs = x.values[:, order[d]].transpose(1, 0, 2).reshape(n_p * n_b, n_f)
-                    _accum(w_x[d], xs.T @ dz[d], owned=True)
-                if w_h[d].requires_grad:
-                    _accum(w_h[d], states[d, :-1].reshape(n_p * n_b, hid).T @ dz[d], owned=True)
-                if b[d].requires_grad:
-                    _accum(b[d], dz[d].sum(axis=0), owned=True)
-                if dx is not None:
-                    dxs = (dz[d] @ w_x[d].values.T).reshape(n_p, n_b, n_f)
-                    dx += dxs[order[d]].transpose(1, 0, 2)
+        dz = dz.reshape(n_dir, n_p * n_b, 4 * hid)
+        dx = np.zeros_like(x.values) if x.requires_grad else None
+        dw_x, dw_h, db = [None] * n_dir, [None] * n_dir, [None] * n_dir
+        for d in range(n_dir):
+            if w_x[d].requires_grad:
+                xs = x.values[:, order[d]].transpose(1, 0, 2).reshape(n_p * n_b, n_f)
+                dw_x[d] = xs.T @ dz[d]
+            if w_h[d].requires_grad:
+                dw_h[d] = states[d, :-1].reshape(n_p * n_b, hid).T @ dz[d]
+            if b[d].requires_grad:
+                db[d] = dz[d].sum(axis=0)
             if dx is not None:
-                _accum(x, dx, owned=True)
+                dxs = (dz[d] @ w_x[d].values.T).reshape(n_p, n_b, n_f)
+                dx += dxs[order[d]].transpose(1, 0, 2)
+        return (dx, *dw_x, *dw_h, *db)
 
-        out._backward = bw
-    return out
+    return _make(values, (x, *w_x, *w_h, *b), bw)
 
 
 # --------------------------------------------------------------- backward
 
 
 def backward(loss: DiffTensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable requires_grad leaf.
+    """Add d(loss)/d(leaf) into the ``grad`` of every reachable requires_grad leaf.
 
-    The graph is consumed: interior closures are dropped to free memory and
-    a second backward through any part of it raises. A loss that no
-    requires_grad tensor feeds has no graph to walk, and raises too.
+    This is the only code that writes ``grad``. Nodes are visited in reverse
+    topological order; each node's closure returns its parents' gradients
+    (see :func:`_make`), and for every parent that requires grad the first
+    gradient is adopted as its ``grad`` and later ones are added into it in
+    place. A leaf that already holds a ``grad`` from an earlier backward
+    keeps adding into it until :func:`adam_step` or the caller clears it.
+
+    The graph is consumed: an interior node's closure and ``grad`` are
+    dropped as soon as its parents have their share, and a second backward
+    through any part of it raises. A loss that no requires_grad tensor feeds
+    has no graph to walk, and raises too.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
@@ -535,7 +497,14 @@ def backward(loss: DiffTensor) -> None:
     loss.grad = np.ones_like(loss.values)
     for node in reversed(order):
         if node._backward is not None:
-            node._backward(node.grad)
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    # a ufunc over 0-d arrays returns a numpy scalar
+                    parent.grad = np.asarray(g)
+                else:
+                    parent.grad += g
         if node._parents:
             node._consumed = True
             node._parents = ()
@@ -588,6 +557,11 @@ def grad_check(f, x, eps: float = 1e-4) -> float:
 # ------------------------------------------------------------- optimizer
 
 
+def _require_rate(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass
 class AdamState:
     """Adam moments and learning rate for one parameter list.
@@ -604,16 +578,17 @@ class AdamState:
     second_moment: list = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+        _require_rate(self.lr, "lr")
 
 
 def adam_step(params: list[DiffTensor], state: AdamState) -> None:
     """One bias-corrected Adam update; gradients are cleared afterward.
 
-    A missing or non-finite gradient raises before any value, moment or the
-    step count changes.
+    A missing or non-finite gradient, or a learning rate that is not finite
+    and positive, raises before any value, moment or the step count changes.
+    ``state.lr`` is checked here because callers assign it between steps.
     """
+    _require_rate(state.lr, "lr")
     for p in params:
         if p.grad is None:
             raise ValueError(f"missing gradient for parameter {p.name!r}")
@@ -649,8 +624,7 @@ class StepDecaySchedule:
             raise ValueError("gamma must be in (0, 1]")
         if self.step_epochs < 1:
             raise ValueError("step_epochs must be >= 1")
-        if not self.base_lr > 0:
-            raise ValueError("base_lr must be > 0")
+        _require_rate(self.base_lr, "base_lr")
 
 
 def schedule_lr(sched: StepDecaySchedule, epoch: int) -> float:

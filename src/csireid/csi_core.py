@@ -13,6 +13,7 @@ codec: :class:`BinaryReader`, :func:`f32_bytes` and :func:`write_file`.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -117,6 +118,10 @@ class SampleRecord:
     dims: tuple[int, int, int, int] | None = None
 
     def __post_init__(self) -> None:
+        try:
+            self.subject_id = operator.index(self.subject_id)
+        except TypeError:
+            raise ValueError(f"subject_id must be an integer, got {self.subject_id!r}") from None
         if self.subject_id < 0:
             raise ValueError("subject_id must be >= 0")
         if self.subject_id >= 2**32:

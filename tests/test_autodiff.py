@@ -138,6 +138,30 @@ def test_shared_subexpression_fan_out():
     np.testing.assert_allclose(x.grad, want, atol=1e-12)
 
 
+# Each case feeds two same-shape (2, 3) leaves into one output. A variant of
+# an op that handed the incoming gradient, or a view of it, to both leaves
+# would let the second backward below write into both of their grads.
+OWNERSHIP_CASES = {
+    "add": lambda a, b: ad.add(a, b),
+    "concat": lambda a, b: ad.concat([a, b], axis=0),
+    "transpose": lambda a, b: ad.add(ad.transpose(a, (1, 0)), ad.transpose(b, (1, 0))),
+    "reshape": lambda a, b: ad.add(ad.reshape(a, (6,)), ad.reshape(b, (6,))),
+    "mean_axis": lambda a, b: ad.add(ad.mean_axis(a, axis=0), ad.mean_axis(b, axis=0)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OWNERSHIP_CASES))
+def test_leaf_grads_share_no_memory(op):
+    a = ad.parameter(rand((2, 3), 8))
+    b = ad.parameter(rand((2, 3), 9))
+    ad.backward(weighted_sum(OWNERSHIP_CASES[op](a, b)))
+    first_a, first_b = a.grad.copy(), b.grad.copy()
+    # a second backward adds into a's grad only
+    ad.backward(weighted_sum(ad.mul(a, ad.constant(rand((2, 3), 10))), seed=11))
+    np.testing.assert_array_equal(b.grad, first_b)
+    np.testing.assert_allclose(a.grad, first_a + rand((2, 3), 10) * rand((2, 3), 11), atol=1e-15)
+
+
 # ------------------------------------------- per-primitive gradient checks
 
 
@@ -514,8 +538,23 @@ def test_adam_matches_reference_trace():
 
 
 def test_adam_lr_validation():
-    with pytest.raises(ValueError):
-        ad.AdamState(lr=0.0)
+    for lr in (0.0, -1e-3, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            ad.AdamState(lr=lr)
+
+
+@pytest.mark.parametrize("lr", [np.inf, np.nan, 0.0, -1e-3])
+def test_adam_step_rejects_assigned_lr(lr):
+    # callers assign lr between steps, after __post_init__ has run
+    p = ad.parameter(np.zeros(3))
+    p.grad = np.ones(3)
+    state = ad.AdamState(lr=1e-3)
+    state.lr = lr
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
+        ad.adam_step([p], state)
+    np.testing.assert_array_equal(p.values, np.zeros(3))
+    assert state.step_count == 0 and not state.first_moment
+    np.testing.assert_array_equal(p.grad, np.ones(3))
 
 
 # --------------------------------------------------------------- schedule
@@ -535,6 +574,9 @@ def test_schedule_validation():
         ad.StepDecaySchedule(gamma=1.5)
     with pytest.raises(ValueError):
         ad.StepDecaySchedule(step_epochs=0)
+    for base_lr in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="base_lr must be finite and > 0"):
+            ad.StepDecaySchedule(base_lr=base_lr)
     with pytest.raises(ValueError):
         ad.schedule_lr(ad.StepDecaySchedule(), -1)
 

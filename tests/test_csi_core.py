@@ -358,6 +358,15 @@ def test_sample_record_rejects_subject_id_over_u32(tmp_path):
         SampleRecord(2**32, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE)
 
 
+def test_sample_record_subject_id_must_be_integer(tmp_path):
+    seq = FeatureSequence(2, 2, np.zeros((2, 2)))
+    for bad in (1.5, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="subject_id must be an integer"):
+            SampleRecord(bad, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE)
+    write_sample(SampleRecord(np.int64(7), Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE), tmp_path / "a.csb")
+    assert read_sample(tmp_path / "a.csb").subject_id == 7
+
+
 def test_record_feature_dims_accepted():
     seq = FeatureSequence(4, 6, np.zeros((4, 6)))
     rec = SampleRecord(0, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE, dims=(3, 1, 2, 4))
