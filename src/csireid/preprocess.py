@@ -4,9 +4,11 @@ Amplitude extraction plus Hampel outlier filtering, phase extraction plus
 linear sanitization (slope and offset removal per subcarrier row), uniform
 packet resampling, and per-feature standardization. All operations are pure
 functions over FeatureSequence / ComplexCsiTensor values, and every
-FeatureSequence is packet-major, so each packet is one contiguous row.
-Sanitization has no settings: the subcarrier index is the centered
-m_k = k - (K-1)/2.
+FeatureSequence is packet-major, so each packet is one contiguous row. The
+phase is written in that order directly, with +0.0 for each zero entry, and
+sanitized in one subcarrier-major work array, with exactly zero endpoint
+residuals. Sanitization has no settings: the subcarrier index is the
+centered m_k = k - (K-1)/2.
 """
 
 from __future__ import annotations
@@ -52,15 +54,22 @@ def amplitude_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
 def phase_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
     """Four-quadrant angle in (-pi, pi], flattened to (packet, feature).
 
-    The angle of 0+0j is defined as 0 and logged, since it carries no
-    direction information.
+    ``arctan2`` runs over the (pkt, rx, tx, sub) view of the data and writes
+    one packet-major buffer, which becomes the sequence without a copy. The
+    angle of a zero entry, of either sign in either part, is defined as +0.0
+    and logged, since it carries no direction information. Only an angle of
+    0 or +-pi can come from a zero entry, so only those are checked.
     """
-    n_zero = int(np.count_nonzero(csi.data == 0))
-    if n_zero:
-        log.warning("phase of %d zero-valued CSI entries defined as 0", n_zero)
-    ang = np.arctan2(csi.data.imag, csi.data.real)
-    ang[ang == -np.pi] = np.pi
-    return FeatureSequence(csi.n_pkt, csi.n_feat, flatten_features(ang))
+    data = np.moveaxis(csi.data, -1, 0)
+    ang = np.empty(data.shape)
+    np.arctan2(data.imag, data.real, out=ang)
+    np.copyto(ang, np.pi, where=ang == -np.pi)
+    suspect = np.flatnonzero((ang == 0.0) | (ang == np.pi))
+    zero = suspect[data[np.unravel_index(suspect, ang.shape)] == 0]
+    if zero.size:
+        log.warning("phase of %d zero-valued CSI entries defined as 0", zero.size)
+        ang.flat[zero] = 0.0
+    return FeatureSequence(csi.n_pkt, csi.n_feat, ang.reshape(csi.n_pkt, csi.n_feat))
 
 
 def _middle_lane_network(n: int) -> list[tuple[int, bool, bool]]:
@@ -163,20 +172,6 @@ def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> Feat
     return FeatureSequence(seq.n_pkt, seq.n_feat, out)
 
 
-def unwrap_phase(phase_row: np.ndarray) -> np.ndarray:
-    """Remove 2*pi jumps so successive differences lie in (-pi, pi].
-
-    Works on the last axis; the first element is unchanged.
-    """
-    x = np.asarray(phase_row, dtype=np.float64)
-    if x.shape[-1] < 2:
-        raise ValueError("need at least 2 phase values to unwrap")
-    d = np.diff(x, axis=-1)
-    turns = np.floor((np.pi - d) / (2.0 * np.pi))
-    adjust = np.cumsum(turns * (2.0 * np.pi), axis=-1)
-    return np.concatenate([x[..., :1], x[..., 1:] + adjust], axis=-1)
-
-
 def sanitize_phase(phase: FeatureSequence, n_sub: int) -> FeatureSequence:
     """Remove the linear-in-subcarrier term from each phase row.
 
@@ -186,7 +181,12 @@ def sanitize_phase(phase: FeatureSequence, n_sub: int) -> FeatureSequence:
     b = mean(phi), and the output phi_k - a*m_k - b. Real subcarrier
     positions are not modelled.
 
-    The line through the endpoints is subtracted in interpolation form, so
+    The rows are copied once into a subcarrier-major (K, pkt, groups) work
+    array, so unwrap and detrend are long vector operations along axis 0,
+    with the output's buffer as scratch until the result is copied back.
+
+    The line through the endpoints is subtracted in interpolation form,
+    first*(1 - t) then last*t with t[0] == 0.0 and t[-1] == 1.0 exactly, so
     both endpoint residuals are identically 0.0 before the mean is removed
     and the output's recomputed endpoint slope is exactly zero. Since the
     centered index has mean 0, subtracting the residual's mean leaves
@@ -198,13 +198,23 @@ def sanitize_phase(phase: FeatureSequence, n_sub: int) -> FeatureSequence:
     if phase.n_feat % k != 0:
         raise ValueError(f"feature width {phase.n_feat} not divisible by K={k}")
 
-    rows = unwrap_phase(phase.data.reshape(phase.n_pkt, phase.n_feat // k, k))
-    first = rows[..., :1]
-    last = rows[..., -1:]
-    t = np.arange(k) / (k - 1)  # t[0] == 0.0 and t[-1] == 1.0 exactly
-    resid = rows - (first * (1.0 - t) + last * t)
-    out = resid - resid.mean(axis=-1, keepdims=True)
-    return FeatureSequence(phase.n_pkt, phase.n_feat, out.reshape(phase.data.shape))
+    p, g = phase.n_pkt, phase.n_feat // k
+    work = phase.data.reshape(p, g, k).transpose(2, 0, 1).copy()
+    scratch = np.empty((k, p, g))
+    turns = scratch[1:]
+    np.subtract(work[1:], work[:-1], out=turns)
+    np.subtract(np.pi, turns, out=turns)
+    np.divide(turns, 2.0 * np.pi, out=turns)
+    np.floor(turns, out=turns)
+    np.multiply(turns, 2.0 * np.pi, out=turns)
+    np.cumsum(turns, axis=0, out=turns)
+    work[1:] += turns
+    t = (np.arange(k) / (k - 1))[:, None, None]  # t[0] == 0.0 and t[-1] == 1.0 exactly
+    work -= np.multiply(work[0], 1.0 - t, out=scratch)
+    work -= np.multiply(work[-1], t, out=scratch)
+    work -= work.mean(axis=0)
+    np.copyto(scratch.reshape(p, g, k), work.transpose(1, 2, 0))
+    return FeatureSequence(p, phase.n_feat, scratch.reshape(p, phase.n_feat))
 
 
 def resample_packets(seq: FeatureSequence, target_p: int) -> FeatureSequence:

@@ -18,9 +18,8 @@ from csireid.preprocess import (
     resample_packets,
     sanitize_phase,
     standardize_features,
-    unwrap_phase,
 )
-from tests.oracles import hampel_column, sanitize_row
+from tests.oracles import flat_column, hampel_column, sanitize_row
 
 
 def seq_from_columns(*cols):
@@ -198,39 +197,94 @@ def test_phase_matches_scalar_oracle():
                 assert abs(out.data[p, t * 3 + s] - math.atan2(z.imag, z.real)) <= 1e-12
 
 
+def test_phase_packet_major_every_axis():
+    # distinct sizes on all four axes, so a wrong axis order cannot line up
+    dims = (2, 2, 5, 7)
+    rng = np.random.default_rng(19)
+    data = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    out = phase_from_complex(ComplexCsiTensor(*dims, data))
+    assert out.data.shape == (7, 20)
+    for r in range(2):
+        for t in range(2):
+            for s in range(5):
+                for p in range(7):
+                    z = data[r, t, s, p]
+                    got = out.data[p, flat_column(r, t, s, 2, 5)]
+                    assert abs(got - math.atan2(z.imag, z.real)) <= 1e-12
+
+
+def test_phase_of_signed_zeros_is_positive_zero(caplog):
+    zeros = [0j, complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)]
+    vals = np.array(zeros + [complex(-1.0, -0.0)]).reshape(1, 1, 1, 5)
+    out = phase_from_complex(ComplexCsiTensor(1, 1, 1, 5, vals)).data[:, 0]
+    assert out[:4].tobytes() == np.zeros(4).tobytes()
+    assert out[4] == np.pi
+    assert "phase of 4 zero-valued CSI entries defined as 0" in caplog.text
+
+
+def test_phase_allocation_bounded():
+    # an angle array plus a transposed copy would need about 2x the output
+    rng = np.random.default_rng(53)
+    dims = (3, 1, 114, 2000)
+    csi = ComplexCsiTensor(*dims, rng.normal(size=dims) + 1j * rng.normal(size=dims))
+    before = csi.data.copy()
+    tracemalloc.start()
+    try:
+        out = phase_from_complex(csi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.data.nbytes
+    np.testing.assert_array_equal(csi.data, before)
+
+
 # ------------------------------------------------------------------- unwrap
 
 
+def _near_odd_pi(d: np.ndarray) -> bool:
+    """True when some difference is within 1e-9 of an odd multiple of pi."""
+    turns = (np.abs(d) - np.pi) / (2.0 * np.pi)
+    return bool(np.any(np.abs(turns - np.round(turns)) * 2.0 * np.pi < 1e-9))
+
+
+def _sanitize_rows(rows: np.ndarray) -> np.ndarray:
+    """sanitize_phase over (packets, K) rows, one antenna pair."""
+    p, k = rows.shape
+    return sanitize_phase(FeatureSequence(p, k, rows), n_sub=k).data
+
+
 def test_unwrap_smooth_row_unchanged():
-    row = np.array([0.0, 0.1, 0.2])
-    np.testing.assert_array_equal(unwrap_phase(row), row)
+    # steps below pi are not unwrapped, so the row is only detrended
+    row = np.array([0.0, 0.1, 0.3, 0.2])
+    resid = row - (row[0] + (row[-1] - row[0]) * np.arange(4) / 3)
+    out = _sanitize_rows(row[None])
+    np.testing.assert_allclose(out[0], resid - resid.mean(), rtol=0, atol=1e-15)
 
 
 def test_unwrap_single_jump():
-    out = unwrap_phase(np.array([3.0, -3.0]))
-    np.testing.assert_allclose(out, [3.0, -3.0 + 2 * np.pi], atol=1e-15)
+    # 3.0 -> -3.0 crosses the branch cut: a step of 2*pi - 6, not -6
+    wrapped = np.array([[3.0, -3.0, -2.9]])
+    unwrapped = wrapped + [[0.0, 2 * np.pi, 2 * np.pi]]
+    out = _sanitize_rows(wrapped)
+    np.testing.assert_allclose(out, _sanitize_rows(unwrapped), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out[0], sanitize_row(wrapped[0]), rtol=0, atol=1e-15)
 
 
 def test_unwrap_recovers_steep_ramp():
     true = 2.9 * np.arange(20) + 0.4
     wrapped = np.arctan2(np.sin(true), np.cos(true))
-    out = unwrap_phase(wrapped)
-    d = np.diff(out)
-    assert np.all(d > -np.pi)
-    assert np.all(d <= np.pi)
+    np.testing.assert_allclose(_sanitize_rows(wrapped[None]), 0.0, atol=1e-9)
 
 
 @settings(max_examples=50)
 @given(st.randoms(use_true_random=False))
 def test_unwrap_preserves_values_mod_two_pi(rnd):
+    # unwrapping keeps each value mod 2*pi: whole turns added anywhere move nothing
     rng = np.random.default_rng(rnd.getrandbits(32))
-    x = rng.uniform(-10, 10, size=12)
-    out = unwrap_phase(x)
-    delta = (out - x) / (2 * np.pi)
-    np.testing.assert_allclose(delta, np.round(delta), atol=1e-9)
-    d = np.diff(out)
-    assert np.all(d > -np.pi - 1e-12)
-    assert np.all(d <= np.pi + 1e-12)
+    x = rng.uniform(-10, 10, size=(3, 12))
+    assume(not _near_odd_pi(np.diff(x, axis=-1)))
+    shifted = x + 2 * np.pi * rng.integers(-3, 4, size=x.shape)
+    np.testing.assert_allclose(_sanitize_rows(shifted), _sanitize_rows(x), rtol=0, atol=1e-9)
 
 
 # ----------------------------------------------------------------- sanitize
@@ -270,12 +324,6 @@ def test_sanitize_groups_independent():
     np.testing.assert_array_equal(both.data[:, :k], left.data)
 
 
-def _near_odd_pi(d: np.ndarray) -> bool:
-    """True when some difference is within 1e-9 of an odd multiple of pi."""
-    turns = (np.abs(d) - np.pi) / (2.0 * np.pi)
-    return bool(np.any(np.abs(turns - np.round(turns)) * 2.0 * np.pi < 1e-9))
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_sanitize_matches_oracle_property(data):
@@ -299,6 +347,37 @@ def test_sanitize_matches_oracle_property(data):
         for g in range(groups):
             np.testing.assert_allclose(got[i, g], sanitize_row(rows[i, g]), rtol=0, atol=1e-9)
     assert np.array_equal(got[..., 0], got[..., -1])
+
+
+def test_sanitize_matches_oracle_at_capture_shape():
+    # the benchmark's shape: K = 114 subcarriers, 3 antenna pairs, 2000 packets
+    rng = np.random.default_rng(59)
+    dims = (3, 1, 114, 2000)
+    slope = rng.uniform(-2.5, 2.5, size=(3, 1, 1, 2000))
+    angle = slope * np.arange(114)[:, None] + 0.1 * rng.normal(size=dims)
+    csi = ComplexCsiTensor(*dims, (1.0 + 0.2 * rng.normal(size=dims)) * np.exp(1j * angle))
+    rows = phase_from_complex(csi).data.reshape(2000, 3, 114)
+    assert not _near_odd_pi(np.diff(rows, axis=-1))
+    out = sanitize_phase(FeatureSequence(2000, 342, rows.reshape(2000, 342)), n_sub=114)
+    got = out.data.reshape(2000, 3, 114)
+    want = np.array([[sanitize_row(r) for r in pkt] for pkt in rows])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    assert np.array_equal(got[..., 0], got[..., -1])
+
+
+def test_sanitize_allocation_bounded():
+    # unwrap and detrend temporaries of the whole capture would need about 5x
+    rng = np.random.default_rng(61)
+    seq = FeatureSequence(2000, 342, rng.uniform(-np.pi, np.pi, size=(2000, 342)))
+    before = seq.data.copy()
+    tracemalloc.start()
+    try:
+        sanitize_phase(seq, n_sub=114)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * seq.data.nbytes
+    np.testing.assert_array_equal(seq.data, before)
 
 
 def test_sanitize_validation():
