@@ -10,9 +10,12 @@ later ones into it in place. So an op whose gradient would be a view of its
 incoming gradient (``concat``, ``transpose``, ``reshape``, ``mean_axis``,
 and ``add`` without broadcasting) returns a copy.
 
-Most ops are elementary; :func:`lstm_sequence` is one fused node for a whole
-(bi-directional) LSTM layer, with backpropagation through time written by
-hand, so the graph does not grow with sequence length. Also home to the
+Most ops are elementary. Three are fused nodes with their backward passes
+written by hand: :func:`lstm_sequence` runs a whole (bi-directional) LSTM
+layer, so the graph does not grow with sequence length;
+:func:`self_attention` runs a Transformer attention sub-layer one sample's
+scores at a time; and :func:`residual_layer_norm` runs a residual sum and
+its layer norm in one work buffer. Also home to the
 Adam optimizer, the step-decay learning-rate schedule, the finite-difference
 gradient checker, and the binary parameter checkpoint format shared by all
 models, which is read, encoded and written with the codec in
@@ -130,7 +133,7 @@ def _unbroadcast_copy(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ------------------------------------------------------------- primitives
 #
-# matmul, mul, layer_norm and lstm_sequence skip the gradient of a parent
+# matmul, mul, layer_norm and the fused ops skip the gradient of a parent
 # that does not require grad, since it costs as much as the others; the
 # cheap ops return every parent's gradient and backward drops the unused.
 
@@ -453,6 +456,137 @@ def lstm_sequence(
         return (dx, *dw_x, *dw_h, *db)
 
     return _make(values, (x, *w_x, *w_h, *b), bw)
+
+
+def self_attention(x: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor, wk_w: DiffTensor, wk_b: DiffTensor,
+                   wv_w: DiffTensor, wv_b: DiffTensor, wo_w: DiffTensor, wo_b: DiffTensor,
+                   heads: int) -> DiffTensor:
+    """Multi-head scaled dot-product self-attention over (B, P, d) as one node.
+
+    The q, k, v and output projections are (d, d) weights with (d,) biases,
+    and head h owns columns h*dh:(h+1)*dh of each, dh = d / heads. Q, K and
+    V come from one (B*P, d) @ (d, 3d) matmul over the weights concatenated
+    as they are read, with 1/sqrt(dh) folded into the q columns and the q
+    bias. Unless dh is a power of four that scale is not a power of two, so
+    folding it in rounds differently from scaling the scores: the results
+    agree to rounding, not bit for bit.
+
+    The scores, softmax and mixing run one sample at a time, so a sample's
+    (heads, P, P) scores stay in cache, and the softmax runs in place.
+    Without a parent that requires grad one such buffer serves every
+    sample; otherwise the probabilities are all the backward pass keeps of
+    them, with dS = P * (dP - rowsum(dP * P)) as in FlashAttention (Dao et
+    al., arXiv 2205.14135) without the tiling.
+    """
+    if x.values.ndim != 3:
+        raise ValueError("self_attention expects a rank-3 (B, P, d) input")
+    n_b, n_p, d = x.values.shape
+    if heads < 1 or d % heads:
+        raise ValueError(f"model width {d} not divisible by heads {heads}")
+    parents = (x, wq_w, wq_b, wk_w, wk_b, wv_w, wv_b, wo_w, wo_b)
+    for i, t in enumerate(parents[1:]):
+        if t.values.shape != (d, d)[: 2 - i % 2]:
+            raise ValueError(f"projection {'qkvo'[i // 2]} has shape {t.values.shape} for width {d}")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    keep = any(p.requires_grad for p in parents)
+
+    w_qkv = np.concatenate([wq_w.values * scale, wk_w.values, wv_w.values], axis=1)
+    xf = x.values.reshape(n_b * n_p, d)
+    qkv = xf @ w_qkv
+    qkv += np.concatenate([wq_b.values * scale, wk_b.values, wv_b.values])
+    # qkv[n] holds sample n's q, k and v as (heads, P, dh) views
+    qkv = qkv.reshape(n_b, n_p, 3, heads, dh).transpose(0, 2, 3, 1, 4)
+    probs = np.empty((n_b if keep else 1, heads, n_p, n_p))
+    merged = np.empty((n_b, n_p, d))
+    for n in range(n_b):
+        q, k, v = qkv[n]
+        s = probs[n if keep else 0]
+        np.matmul(q, k.transpose(0, 2, 1), out=s)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        merged[n].reshape(n_p, heads, dh)[...] = (s @ v).transpose(1, 0, 2)
+    mf = merged.reshape(n_b * n_p, d)
+    values = (mf @ wo_w.values).reshape(n_b, n_p, d)
+    values += wo_b.values
+
+    def bw(g):
+        gf = g.reshape(n_b * n_p, d)
+        dmerged = (gf @ wo_w.values.T).reshape(n_b, n_p, heads, dh)
+        dqkv = np.empty((n_b, n_p, 3, heads, dh))
+        for n in range(n_b):
+            q, k, v = qkv[n]
+            p = probs[n]
+            dmixed = dmerged[n].transpose(1, 0, 2)
+            dqkv[n, :, 2] = (p.transpose(0, 2, 1) @ dmixed).transpose(1, 0, 2)
+            ds = dmixed @ v.transpose(0, 2, 1)
+            ds -= np.einsum("hij,hij->hi", ds, p)[..., None]
+            ds *= p
+            dqkv[n, :, 0] = (ds @ k).transpose(1, 0, 2)
+            dqkv[n, :, 1] = (ds.transpose(0, 2, 1) @ q).transpose(1, 0, 2)
+        dqkv = dqkv.reshape(n_b * n_p, 3, d)
+        grads = [None]
+        if x.requires_grad:
+            grads[0] = (dqkv.reshape(n_b * n_p, 3 * d) @ w_qkv.T).reshape(n_b, n_p, d)
+        dqkv[:, 0] *= scale  # from here on, the gradient of the unscaled q
+        outs = (*dqkv.transpose(1, 0, 2), gf)
+        for inp, dout, w, b in zip((xf, xf, xf, mf), outs, parents[1::2], parents[2::2]):
+            grads.append(inp.T @ dout if w.requires_grad else None)
+            grads.append(dout.sum(axis=0) if b.requires_grad else None)
+        return grads
+
+    return _make(values, parents, bw)
+
+
+def residual_layer_norm(x: DiffTensor, r: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
+    """``layer_norm(add(x, r), gain, bias)`` over the last axis as one node.
+
+    ``x`` and ``r`` have the same shape. The sum is formed, normalized and
+    scaled in one work buffer that becomes the output; the backward pass
+    keeps only the row means and inverse deviations and recomputes the
+    normalized sum from them, bit for bit.
+    """
+    if x.values.shape != r.values.shape:
+        raise ValueError(f"residual shapes differ: {x.values.shape} and {r.values.shape}")
+    d = x.values.shape[-1]
+    if gain.values.shape != (d,) or bias.values.shape != (d,):
+        raise ValueError(f"gain and bias must have shape {(d,)}")
+    values = x.values + r.values
+    mu = values.mean(axis=-1, keepdims=True)
+    values -= mu
+    inv = np.einsum("...i,...i->...", values, values)[..., None]
+    inv /= d
+    inv += 1e-5  # layer_norm's epsilon
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    values *= inv
+    values *= gain.values
+    values += bias.values
+
+    def bw(g):
+        # the same three steps as above, so the same bits
+        xhat = x.values + r.values
+        xhat -= mu
+        xhat *= inv
+        gf = g.reshape(-1, d)
+        dgain = np.einsum("ni,ni->i", gf, xhat.reshape(-1, d)) if gain.requires_grad else None
+        dbias = gf.sum(axis=0) if bias.requires_grad else None
+        dx = dr = None
+        if x.requires_grad or r.requires_grad:
+            dx = g * gain.values
+            m2 = np.einsum("...i,...i->...", dx, xhat)[..., None] / d
+            dx -= dx.mean(axis=-1, keepdims=True)
+            xhat *= m2
+            dx -= xhat
+            dx *= inv
+            if x.requires_grad and r.requires_grad:
+                dr = np.array(dx)
+            elif r.requires_grad:
+                dx, dr = None, dx
+        return dx, dr, dgain, dbias
+
+    return _make(values, (x, r, gain, bias), bw)
 
 
 # --------------------------------------------------------------- backward

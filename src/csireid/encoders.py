@@ -4,9 +4,11 @@ A :class:`SignatureModel` maps a rank-3 (B, P, F) batch of (packet,
 feature) sequences to unit-norm signatures whose dot products are cosine
 similarities. Its encoder is interchangeable: a stacked LSTM run forward
 only (``"lstm"``) or forward and backward (``"bilstm"``), each layer a
-single ``ad.lstm_sequence`` graph node, or a Transformer. A linear head
-plus l2 normalization follows. Every parameter lives in one flat dict keyed
-by its checkpoint name, and the forward pass reads it by key.
+single ``ad.lstm_sequence`` graph node, or a post-norm Transformer, whose
+attention is one ``ad.self_attention`` node and whose residual sums and
+layer norms are ``ad.residual_layer_norm`` nodes. A linear head plus l2
+normalization follows. Every parameter lives in one flat dict keyed by its
+checkpoint name, and the forward pass reads it by key.
 """
 
 from __future__ import annotations
@@ -78,39 +80,6 @@ def _require_batch(x) -> ad.DiffTensor:
     return x
 
 
-# ---------------------------------------------------------------- attention
-
-
-def multi_head_attention(x, params: dict, prefix: str, heads: int) -> ad.DiffTensor:
-    """Scaled dot-product self-attention over the packet axis of (B, P, d).
-
-    ``params`` holds the fused projections ``<prefix>.wq``/``wk``/``wv``/
-    ``wo`` as ``.w`` and ``.b`` entries; heads are blocks of the fused
-    matrices. Dropout is applied between encoder layers, not inside the
-    sub-layer. Residual and layer norm are the caller's responsibility.
-    """
-    xb = _require_batch(x)
-    b, p, d = xb.values.shape
-    if d % heads != 0:
-        raise ValueError(f"model width {d} not divisible by heads {heads}")
-    dh = d // heads
-
-    def split_heads(t):
-        return ad.transpose(ad.reshape(t, (b, p, heads, dh)), (0, 2, 1, 3))
-
-    q = split_heads(_linear(params, f"{prefix}.wq", xb))
-    k = split_heads(_linear(params, f"{prefix}.wk", xb))
-    v = split_heads(_linear(params, f"{prefix}.wv", xb))
-    scores = ad.mul(
-        ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-        ad.constant(np.array(1.0 / np.sqrt(dh))),
-    )
-    attn = ad.softmax_axis(scores, axis=3)
-    mixed = ad.matmul(attn, v)
-    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, p, d))
-    return _linear(params, f"{prefix}.wo", merged)
-
-
 # ----------------------------------------------------------- signature head
 
 
@@ -143,7 +112,10 @@ class SignatureModel:
     order, and each parameter's ``name`` is its key:
     ``lstm<i>.{w_x,w_h,b}`` or ``bilstm<i>.{fwd,bwd}.{w_x,w_h,b}`` for the
     recurrent encoders, ``tf.in.{w,b}`` and ``tf<i>.<sub-layer>.<w|b|g>``
-    for the Transformer, then ``head.{w,b}``.
+    for the Transformer, then ``head.{w,b}``. The fused ops read these
+    per-projection tensors as they are and concatenate what they need, so
+    the checkpoint layout does not depend on how the forward pass groups
+    its work.
 
     Training mode reads the parameters themselves. Evaluation mode reads
     them as constants that share their arrays, so no backward graph is built
@@ -218,10 +190,11 @@ class SignatureModel:
                 if i:
                     h = ad.dropout(h, keep, rng, training)
                 block = f"tf{i}"
-                attn = multi_head_attention(h, params, block, cfg.heads)
-                h = ad.layer_norm(ad.add(h, attn), params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
+                proj = [params[f"{block}.{w}.{k}"] for w in ("wq", "wk", "wv", "wo") for k in "wb"]
+                attn = ad.self_attention(h, *proj, cfg.heads)
+                h = ad.residual_layer_norm(h, attn, params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
                 ff = _linear(params, f"{block}.ff2", ad.rectifier(_linear(params, f"{block}.ff1", h)))
-                h = ad.layer_norm(ad.add(h, ff), params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
+                h = ad.residual_layer_norm(h, ff, params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
             return ad.mean_axis(h, axis=1)
         # each layer runs all its directions as one lstm_sequence node and
         # the next reads its (B, P, D*H) output through dropout; a forward

@@ -68,6 +68,74 @@ def lstm_encode(x: ad.DiffTensor, layers, reverse, keep_prob: float = 1.0, rng=N
     return x, ad.concat([final for _, final in passes], axis=1)
 
 
+def _linear(params: dict, prefix: str, x: ad.DiffTensor) -> ad.DiffTensor:
+    return ad.add(ad.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+
+
+def multi_head_attention(x: ad.DiffTensor, params: dict, prefix: str, heads: int) -> ad.DiffTensor:
+    """Self-attention over (B, P, d) composed from about 20 elementary nodes.
+
+    ``params`` holds ``<prefix>.wq``/``wk``/``wv``/``wo`` as ``.w`` and
+    ``.b`` entries; head h owns columns h*dh:(h+1)*dh of each. The scores
+    are scaled after the q @ k^T product.
+    """
+    b, p, d = x.values.shape
+    dh = d // heads
+
+    def split_heads(t):
+        return ad.transpose(ad.reshape(t, (b, p, heads, dh)), (0, 2, 1, 3))
+
+    q = split_heads(_linear(params, f"{prefix}.wq", x))
+    k = split_heads(_linear(params, f"{prefix}.wk", x))
+    v = split_heads(_linear(params, f"{prefix}.wv", x))
+    scores = ad.mul(
+        ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
+        ad.constant(np.array(1.0 / np.sqrt(dh))),
+    )
+    mixed = ad.matmul(ad.softmax_axis(scores, axis=3), v)
+    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, p, d))
+    return _linear(params, f"{prefix}.wo", merged)
+
+
+def residual_layer_norm(x, r, params: dict, prefix: str) -> ad.DiffTensor:
+    """layer_norm(x + r) as an ``add`` node and a ``layer_norm`` node."""
+    return ad.layer_norm(ad.add(x, r), params[f"{prefix}.g"], params[f"{prefix}.b"])
+
+
+def position_table(p: int, d: int) -> np.ndarray:
+    """Sinusoidal positions one entry at a time: packet t gets
+    sin(t / 10000^(2i/d)) in column 2i and the cosine in column 2i + 1."""
+    table = np.empty((p, d))
+    for t in range(p):
+        for i in range(d // 2):
+            angle = t / 10000.0 ** (2 * i / d)
+            table[t, 2 * i], table[t, 2 * i + 1] = np.sin(angle), np.cos(angle)
+    return table
+
+
+def transformer_encode(x: ad.DiffTensor, params: dict, layers: int, heads: int,
+                       keep_prob: float = 1.0, rng=None) -> ad.DiffTensor:
+    """The post-norm Transformer encoder composed from elementary autodiff ops.
+
+    ``params`` maps the model's state-dict keys (``tf.in.*``, ``tf<i>.*``) to
+    tensors. Inputs are projected and the position table is added; each
+    block is attention and a 4x wide ReLU feed-forward layer, each followed
+    by residual and layer norm. Between blocks the sequence goes through
+    train-mode dropout drawn from ``rng`` when one is given. Returns the
+    (B, d) mean over packets.
+    """
+    d = params["tf.in.w"].values.shape[1]
+    h = ad.add(_linear(params, "tf.in", x), ad.constant(position_table(x.values.shape[1], d)))
+    for i in range(layers):
+        if i and rng is not None:
+            h = ad.dropout(h, keep_prob, rng, training=True)
+        block = f"tf{i}"
+        h = residual_layer_norm(h, multi_head_attention(h, params, block, heads), params, f"{block}.ln1")
+        ff = _linear(params, f"{block}.ff2", ad.rectifier(_linear(params, f"{block}.ff1", h)))
+        h = residual_layer_norm(h, ff, params, f"{block}.ln2")
+    return ad.mean_axis(h, axis=1)
+
+
 def flat_column(rx: int, tx: int, sub: int, n_tx: int, n_sub: int) -> int:
     """Column of the (rx, tx, subcarrier) entry in a flattened sequence."""
     return (rx * n_tx + tx) * n_sub + sub

@@ -147,6 +147,9 @@ OWNERSHIP_CASES = {
     "transpose": lambda a, b: ad.add(ad.transpose(a, (1, 0)), ad.transpose(b, (1, 0))),
     "reshape": lambda a, b: ad.add(ad.reshape(a, (6,)), ad.reshape(b, (6,))),
     "mean_axis": lambda a, b: ad.add(ad.mean_axis(a, axis=0), ad.mean_axis(b, axis=0)),
+    "residual_layer_norm": lambda a, b: ad.residual_layer_norm(
+        a, b, ad.constant(rand((3,), 12)), ad.constant(rand((3,), 13))
+    ),
 }
 
 
@@ -160,6 +163,21 @@ def test_leaf_grads_share_no_memory(op):
     ad.backward(weighted_sum(ad.mul(a, ad.constant(rand((2, 3), 10))), seed=11))
     np.testing.assert_array_equal(b.grad, first_b)
     np.testing.assert_allclose(a.grad, first_a + rand((2, 3), 10) * rand((2, 3), 11), atol=1e-15)
+
+
+def test_self_attention_grads_share_no_memory():
+    # the q, k and v weight and bias gradients come from one fused product;
+    # a view of it handed to two parents would let backward add across them
+    d = 4
+    leaves = [ad.parameter(rand((2, 3, d), 14))]
+    for i in range(4):
+        leaves += [ad.parameter(rand((d, d), 15 + i)), ad.parameter(rand((d,), 19 + i))]
+    ad.backward(weighted_sum(ad.self_attention(*leaves, heads=2)))
+    grads = [t.grad for t in leaves]
+    assert all(g is not None for g in grads)
+    for i, a in enumerate(grads):
+        for b in grads[:i]:
+            assert not np.may_share_memory(a, b)
 
 
 # ------------------------------------------- per-primitive gradient checks
@@ -284,6 +302,17 @@ def test_grad_layer_norm():
     bias = ad.parameter(rand((7,), 34))
     err = ad.grad_check(
         lambda ts: weighted_sum(ad.layer_norm(ts[0], ts[1], ts[2])), [a, gain, bias]
+    )
+    assert err < TOL
+
+
+def test_grad_residual_layer_norm():
+    a = ad.parameter(rand((2, 3, 7), 36))
+    r = ad.parameter(rand((2, 3, 7), 37))
+    gain = ad.parameter(rand((7,), 38, 0.5, 1.5))
+    bias = ad.parameter(rand((7,), 39))
+    err = ad.grad_check(
+        lambda ts: weighted_sum(ad.residual_layer_norm(*ts)), [a, r, gain, bias]
     )
     assert err < TOL
 

@@ -1,5 +1,7 @@
 """Encoder forward semantics, gradient checks, and signature properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,11 @@ from csireid.encoders import (
     EncoderConfig,
     SignatureModel,
     build_model,
-    multi_head_attention,
     positional_encoding,
     signature_tensor,
 )
-from tests.oracles import attention, lstm_encode, sum_all
+from tests import oracles
+from tests.oracles import attention, lstm_encode, sum_all, transformer_encode
 
 TINY = dict(layers_l=1, hidden_d=4, heads=2, signature_dim_s=3, dropout_pd=0.0)
 
@@ -53,6 +55,14 @@ def attention_model(d, heads, seed):
     return make_model(tiny_cfg("transformer", hidden_d=d, heads=heads), d, seed)
 
 
+ATTENTION_KEYS = [f"{w}.{k}" for w in ("wq", "wk", "wv", "wo") for k in "wb"]
+
+
+def attend(x, named, heads, prefix="tf0"):
+    """``ad.self_attention`` over the projections ``named`` holds under ``prefix``."""
+    return ad.self_attention(x, *(named[f"{prefix}.{k}"] for k in ATTENTION_KEYS), heads)
+
+
 # ------------------------------------------------------ positional encoding
 
 
@@ -66,6 +76,11 @@ def test_positional_encoding_reference_entry():
     assert abs(table[1, 0] - np.sin(1.0)) < 1e-15
     assert abs(table[1, 1] - np.cos(1.0)) < 1e-15
     assert abs(table[1, 2] - np.sin(1.0 / 100.0)) < 1e-15
+
+
+def test_positional_encoding_matches_oracle():
+    want = oracles.position_table(64, 8)
+    np.testing.assert_allclose(positional_encoding(64, 8), want, rtol=0, atol=1e-13)
 
 
 def test_positional_encoding_rows_distinct():
@@ -90,7 +105,7 @@ def test_attention_uniform_when_queries_vanish():
     weights["tf0.wq.w"].values[:] = 0.0
     weights["tf0.wo.w"].values[:] = np.eye(d)
     x = ad.constant(rng.normal(size=(1, 3, d)))
-    out = multi_head_attention(x, weights, "tf0", heads=2)
+    out = attend(x, weights, heads=2)
     v = x.values[0] @ weights["tf0.wv.w"].values + weights["tf0.wv.b"].values
     np.testing.assert_allclose(out.values[0], np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
@@ -103,7 +118,7 @@ def test_attention_matches_oracle():
         if name.endswith(".b"):
             t.values[:] = rng.normal(size=t.values.shape)
     x = ad.constant(rng.normal(size=(2, 5, 6)))
-    out = multi_head_attention(x, named, "tf0", heads=3)
+    out = attend(x, named, heads=3)
     want, probs = attention(x.values, {k: t.values for k, t in weights.items()}, heads=3)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
     np.testing.assert_allclose(out.values, want, atol=1e-12)
@@ -112,16 +127,95 @@ def test_attention_matches_oracle():
 def test_attention_grad_check():
     rng = np.random.default_rng(3)
     weights = attention_model(4, 2, seed=3).named
-    x = ad.constant(rng.normal(size=(1, 3, 4)))
-    tensors = [t for k, t in weights.items() if k.startswith("tf0.w")]
-    assert len(tensors) == 8
+    for key in ATTENTION_KEYS:
+        if key.endswith(".b"):
+            weights[f"tf0.{key}"].values[:] = rng.normal(size=4)
+    x = ad.parameter(rng.normal(size=(2, 3, 4)))
+    tensors = [x, *(weights[f"tf0.{k}"] for k in ATTENTION_KEYS)]
 
     def f(ts):
-        out = multi_head_attention(x, weights, "tf0", heads=2)
+        out = attend(x, weights, heads=2)
         w = ad.constant(np.random.default_rng(9).normal(size=out.values.shape))
         return sum_all(ad.mul(out, w))
 
     assert ad.grad_check(f, tensors) < 1e-5
+
+
+def test_attention_rejects_bad_shapes():
+    named = attention_model(4, 2, seed=3).named
+    with pytest.raises(ValueError, match="rank-3"):
+        attend(ad.constant(np.zeros((3, 4))), named, heads=2)
+    with pytest.raises(ValueError, match="divisible"):
+        attend(ad.constant(np.zeros((1, 3, 4))), named, heads=3)
+    named["tf0.wk.w"] = ad.constant(np.zeros((4, 5)))
+    with pytest.raises(ValueError, match="projection k"):
+        attend(ad.constant(np.zeros((1, 3, 4))), named, heads=2)
+
+
+def run_with_grads(build, tensors, seed):
+    """Values of ``build()`` and the gradients it sends into ``tensors``
+    under a random linear loss; a tensor that gets none reads None."""
+    for t in tensors:
+        t.grad = None
+    out = build()
+    w = ad.constant(np.random.default_rng(seed).normal(size=out.values.shape))
+    ad.backward(sum_all(ad.mul(out, w)))
+    grads = [None if t.grad is None else t.grad.copy() for t in tensors]
+    return out.values, grads
+
+
+def assert_same_run(got, want):
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    for g, w in zip(got[1], want[1]):
+        assert (g is None) == (w is None)
+        if g is not None:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("b, p", [(3, 5), (1, 1)])
+def test_self_attention_matches_composed(b, p):
+    rng = np.random.default_rng(44)
+    named = attention_model(6, 3, seed=45).named
+    for key in ATTENTION_KEYS:
+        if key.endswith(".b"):
+            named[f"tf0.{key}"].values[:] = rng.normal(size=6)
+    x = ad.parameter(rng.normal(size=(b, p, 6)))
+    tensors = [x, *(named[f"tf0.{k}"] for k in ATTENTION_KEYS)]
+    got = run_with_grads(lambda: attend(x, named, heads=3), tensors, 46)
+    want = run_with_grads(lambda: oracles.multi_head_attention(x, named, "tf0", 3), tensors, 46)
+    assert_same_run(got, want)
+    # with constant weights only the input gradient flows
+    frozen = {k: ad.constant(t.values) for k, t in named.items()}
+    got = run_with_grads(lambda: attend(x, frozen, heads=3), [x], 46)
+    assert_same_run(got, (want[0], want[1][:1]))
+
+
+@pytest.mark.parametrize("needs", ["x", "r", "gain", "bias", "all"])
+def test_residual_layer_norm_matches_composed(needs):
+    rng = np.random.default_rng(47)
+    parts = {
+        "x": rng.normal(size=(2, 3, 5)),
+        "r": rng.normal(size=(2, 3, 5)),
+        "gain": rng.normal(size=5),
+        "bias": rng.normal(size=5),
+    }
+    tensors = {k: ad.DiffTensor(v, requires_grad=needs in (k, "all")) for k, v in parts.items()}
+    leaves = list(tensors.values())
+    params = {"ln.g": tensors["gain"], "ln.b": tensors["bias"]}
+    got = run_with_grads(lambda: ad.residual_layer_norm(*leaves), leaves, 48)
+    want = run_with_grads(
+        lambda: oracles.residual_layer_norm(tensors["x"], tensors["r"], params, "ln"), leaves, 48
+    )
+    assert_same_run(got, want)
+
+
+def test_residual_layer_norm_rejects_bad_shapes():
+    a = ad.constant(np.zeros((2, 4)))
+    ones, zeros = ad.constant(np.ones(4)), ad.constant(np.zeros(4))
+    with pytest.raises(ValueError, match="residual shapes"):
+        ad.residual_layer_norm(a, ad.constant(np.zeros((1, 4))), ones, zeros)
+    with pytest.raises(ValueError, match="gain and bias"):
+        ad.residual_layer_norm(a, a, ad.constant(np.ones(3)), zeros)
 
 
 # ---------------------------------------------------------------------- LSTM
@@ -230,20 +324,13 @@ def test_lstm_sequence_matches_oracle(arch, layers_l, b, p):
         for i in range(layers_l)
     ]
     reverse = [c.endswith(".bwd") for c in cell_prefixes(arch, 0)]
-
-    def run(encode):
-        for t in tensors:
-            t.grad = None
-        out = encode(np.random.default_rng(42))
-        w = ad.constant(np.random.default_rng(43).normal(size=out.values.shape))
-        ad.backward(sum_all(ad.mul(out, w)))
-        return out.values, [t.grad.copy() for t in tensors]
-
-    got, got_grads = run(lambda rng: model.encode(x, training=True, rng=rng))
-    want, want_grads = run(lambda rng: lstm_encode(x, cells, reverse, 0.75, rng)[1])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    for g, w in zip(got_grads, want_grads):
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    got = run_with_grads(
+        lambda: model.encode(x, training=True, rng=np.random.default_rng(42)), tensors, 43
+    )
+    want = run_with_grads(
+        lambda: lstm_encode(x, cells, reverse, 0.75, np.random.default_rng(42))[1], tensors, 43
+    )
+    assert_same_run(got, want)
 
 
 def graph_nodes(root: ad.DiffTensor) -> int:
@@ -306,6 +393,66 @@ def test_transformer_grad_check():
         return sum_all(ad.mul(out, w))
 
     assert ad.grad_check(f, [x, *encoder_params(model)]) < 1e-4
+
+
+@pytest.mark.parametrize("b, p", [(3, 5), (1, 1)])
+@pytest.mark.parametrize("layers_l", [1, 2])
+def test_transformer_matches_composed_in_training(layers_l, b, p):
+    cfg = tiny_cfg("transformer", layers_l=layers_l, hidden_d=6, heads=3, dropout_pd=0.25)
+    model = make_model(cfg, 3, 50)
+    x = ad.parameter(np.random.default_rng(51).normal(size=(b, p, 3)))
+    tensors = [x, *encoder_params(model)]
+    got = run_with_grads(
+        lambda: model.encode(x, training=True, rng=np.random.default_rng(52)), tensors, 53
+    )
+    want = run_with_grads(
+        lambda: transformer_encode(x, model.named, layers_l, 3, 0.75, np.random.default_rng(52)),
+        tensors,
+        53,
+    )
+    assert_same_run(got, want)
+
+
+def test_transformer_matches_composed_in_eval_with_input_grad():
+    cfg = tiny_cfg("transformer", layers_l=2, hidden_d=6, heads=3, dropout_pd=0.25)
+    model = make_model(cfg, 3, 54)
+    x = ad.parameter(np.random.default_rng(55).normal(size=(3, 5, 3)))
+    frozen = {k: ad.constant(t.values) for k, t in model.named.items()}
+    got = run_with_grads(lambda: model.encode(x), [x], 56)
+    want = run_with_grads(lambda: transformer_encode(x, frozen, 2, 3), [x], 56)
+    assert_same_run(got, want)
+    assert all(t.grad is None for t in model.params)
+
+
+def test_transformer_eval_memory_bounded():
+    # batch-sized (B, heads, P, P) score temporaries would need about 11x
+    # the input; attention runs one sample's scores at a time instead
+    model = build_model(EncoderConfig(), n_feat=342, seed=0)
+    x = ad.constant(np.random.default_rng(57).normal(size=(16, 200, 342)))
+    tracemalloc.start()
+    try:
+        sig = model.signatures(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sig.values.shape == (16, 128)
+    assert peak <= 5 * x.values.nbytes
+
+
+def test_transformer_checkpoint_layout_unchanged(tmp_path):
+    # a checkpoint in the per-projection layout (wq, wk, wv and wo each
+    # with its own .w and .b) loads without a renamed, added or dropped key
+    cfg = tiny_cfg("transformer", layers_l=2, hidden_d=6, heads=3)
+    path = tmp_path / "tf.ckpt"
+    ad.write_tensor_file(path, make_model(cfg, 3, 58).state_dict())
+    state = ad.read_tensor_file(path)
+    assert list(state) == STATE_KEYS["transformer"]
+    model = make_model(cfg, 3, 59)
+    model.load_state_dict(state)
+    x = ad.constant(np.random.default_rng(60).normal(size=(3, 5, 3)))
+    frozen = {k: ad.constant(v) for k, v in state.items()}
+    want = signature_tensor(transformer_encode(x, frozen, 2, 3), frozen)
+    np.testing.assert_allclose(model.signatures(x).values, want.values, rtol=0, atol=1e-12)
 
 
 def test_transformer_two_layer_train_mode_runs():

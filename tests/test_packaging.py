@@ -1,8 +1,11 @@
 """Every console script that pyproject.toml declares, and every package
-name the benchmark calls, must resolve."""
+name the benchmark calls, must resolve; the pytest settings it declares
+must report every test."""
 
 import dataclasses
 import importlib
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -104,3 +107,28 @@ CONFIG_FIELDS = {
 def test_config_fields_pinned():
     for cls, names in CONFIG_FIELDS.items():
         assert tuple(f.name for f in dataclasses.fields(cls) if f.init) == names, cls.__name__
+
+
+FAILING_HYPOTHESIS_FILE = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_does_not_stop_the_session(tmp_path):
+    # with warnings as errors, a warning raised in Hypothesis's report hook
+    # once became INTERNALERROR and the tests after the failure never ran
+    (tmp_path / "test_h.py").write_text(FAILING_HYPOTHESIS_FILE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), str(tmp_path / "test_h.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
