@@ -5,8 +5,10 @@ Gaussian noise, global scaling, time shift with mean fill) or passes the
 sample through unchanged. The settings are fixed: a sample is perturbed with
 probability ``APPLY_PROB``; noise has standard deviation ``NOISE_SIGMA``; the
 scale factor is uniform over ``SCALE_RANGE``; the shift is a whole number of
-packets in [-SHIFT_RANGE, SHIFT_RANGE]. All randomness flows through explicit
-numpy generators so batches rebuild bit-identically from (seed, sample index).
+packets drawn from [-SHIFT_RANGE, SHIFT_RANGE] and then clamped to [-P, P] for
+a sequence of P packets, so a shift by the whole length leaves only column
+means. All randomness flows through explicit numpy generators so batches
+rebuild bit-identically from (seed, sample index).
 """
 
 from __future__ import annotations
@@ -35,50 +37,27 @@ def sample_rng(policy: AugmentPolicy, sample_index: int) -> np.random.Generator:
     )
 
 
-def add_gaussian_noise(
-    seq: FeatureSequence, sigma: float, rng: np.random.Generator
-) -> FeatureSequence:
-    """Independent Normal(0, sigma^2) noise on every entry."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return FeatureSequence(seq.n_pkt, seq.n_feat, seq.data.copy())
-    noise = rng.normal(0.0, sigma, size=seq.data.shape)
-    return FeatureSequence(seq.n_pkt, seq.n_feat, seq.data + noise)
-
-
-def scale_amplitude(seq: FeatureSequence, factor: float) -> FeatureSequence:
-    """Multiply every entry by one global factor."""
-    if not factor > 0:
-        raise ValueError("factor must be > 0")
-    return FeatureSequence(seq.n_pkt, seq.n_feat, seq.data * factor)
-
-
-def time_shift(seq: FeatureSequence, t_shift: int) -> FeatureSequence:
-    """Shift each column along the packet axis, filling vacated slots.
-
-    Positive shifts move values later; vacated positions take the column's
-    original mean so length stays P.
-    """
-    if abs(t_shift) > seq.n_pkt:
-        raise ValueError(f"|t_shift|={abs(t_shift)} exceeds packet count {seq.n_pkt}")
-    out = np.tile(seq.data.mean(axis=0), (seq.n_pkt, 1))
-    if t_shift >= 0:
-        out[t_shift:] = seq.data[: seq.n_pkt - t_shift]
-    else:
-        out[: seq.n_pkt + t_shift] = seq.data[-t_shift:]
-    return FeatureSequence(seq.n_pkt, seq.n_feat, out)
-
-
 def apply_policy(
     seq: FeatureSequence, policy: AugmentPolicy, rng: np.random.Generator
 ) -> FeatureSequence:
-    """Gate on APPLY_PROB, then apply one uniformly chosen augmentation."""
+    """Gate on APPLY_PROB, then apply one uniformly chosen augmentation.
+
+    The time shift moves each column along the packet axis, later for a
+    positive shift, and fills the vacated slots with the column's mean.
+    """
     if rng.random() >= APPLY_PROB:
         return FeatureSequence(seq.n_pkt, seq.n_feat, seq.data.copy())
     which = int(rng.integers(3))
     if which == 0:
-        return add_gaussian_noise(seq, NOISE_SIGMA, rng)
-    if which == 1:
-        return scale_amplitude(seq, float(rng.uniform(*SCALE_RANGE)))
-    return time_shift(seq, int(rng.integers(-SHIFT_RANGE, SHIFT_RANGE + 1)))
+        out = seq.data + rng.normal(0.0, NOISE_SIGMA, size=seq.data.shape)
+    elif which == 1:
+        out = seq.data * float(rng.uniform(*SCALE_RANGE))
+    else:
+        p = seq.n_pkt
+        t = min(max(int(rng.integers(-SHIFT_RANGE, SHIFT_RANGE + 1)), -p), p)
+        out = np.tile(seq.data.mean(axis=0), (p, 1))
+        if t >= 0:
+            out[t:] = seq.data[: p - t]
+        else:
+            out[: p + t] = seq.data[-t:]
+    return FeatureSequence(seq.n_pkt, seq.n_feat, out)

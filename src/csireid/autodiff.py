@@ -7,8 +7,8 @@ or None for a parent that needs none. Ops never touch ``grad``.
 :func:`backward` walks the graph once in reverse topological order and is
 the one place that accumulates: it adopts a parent's first gradient and adds
 later ones into it in place. So an op whose gradient would be a view of its
-incoming gradient (``concat``, ``transpose``, ``reshape``, ``mean_axis``,
-and ``add`` without broadcasting) returns a copy.
+incoming gradient (``concat``, ``transpose``, ``mean_axis``, and ``add``
+without broadcasting) returns a copy.
 
 Most ops are elementary. Three are fused nodes with their backward passes
 written by hand: :func:`lstm_sequence` runs a whole (bi-directional) LSTM
@@ -40,6 +40,7 @@ from csireid.csi_core import BinaryReader, f32_bytes, write_file
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LAYER_NORM_EPS = 1e-5
 
 
 class NumericError(Exception):
@@ -125,17 +126,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _unbroadcast_copy(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """:func:`_unbroadcast` as an array that g does not share."""
-    out = _unbroadcast(g, shape)
-    return np.array(out) if out is g else out
-
-
 # ------------------------------------------------------------- primitives
 #
-# matmul, mul, layer_norm and the fused ops skip the gradient of a parent
-# that does not require grad, since it costs as much as the others; the
-# cheap ops return every parent's gradient and backward drops the unused.
+# matmul, mul and the fused ops skip the gradient of a parent that does not
+# require grad, since it costs as much as the others; the cheap ops return
+# every parent's gradient and backward drops the unused.
 
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -157,7 +152,9 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     def bw(g):
-        return _unbroadcast_copy(g, a.values.shape), _unbroadcast_copy(g, b.values.shape)
+        da, db = _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
+        # each parent gets an array of its own, never g itself
+        return (np.array(da) if da is g else da), (np.array(db) if db is g else db)
 
     return _make(a.values + b.values, (a, b), bw)
 
@@ -202,39 +199,12 @@ def transpose(a: DiffTensor, axes: tuple[int, ...]) -> DiffTensor:
     return _make(np.ascontiguousarray(np.transpose(a.values, axes)), (a,), bw)
 
 
-def reshape(a: DiffTensor, shape: tuple[int, ...]) -> DiffTensor:
-    def bw(g):
-        return (np.array(g.reshape(a.values.shape)),)
-
-    return _make(a.values.reshape(shape), (a,), bw)
-
-
 def mean_axis(a: DiffTensor, axis: int) -> DiffTensor:
     def bw(g):
         shape = a.values.shape
         return (np.array(np.broadcast_to(np.expand_dims(g, axis) / shape[axis], shape)),)
 
     return _make(a.values.mean(axis=axis), (a,), bw)
-
-
-def tanh(a: DiffTensor) -> DiffTensor:
-    vals = np.tanh(a.values)
-
-    def bw(g):
-        return (g * (1.0 - vals * vals),)
-
-    return _make(vals, (a,), bw)
-
-
-def sigmoid(a: DiffTensor) -> DiffTensor:
-    x = a.values
-    e = np.exp(-np.abs(x))
-    vals = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def bw(g):
-        return (g * vals * (1.0 - vals),)
-
-    return _make(vals, (a,), bw)
 
 
 def rectifier(a: DiffTensor) -> DiffTensor:
@@ -263,31 +233,6 @@ def softmax_axis(a: DiffTensor, axis: int) -> DiffTensor:
         return (vals * (g - inner),)
 
     return _make(vals, (a,), bw)
-
-
-def layer_norm(a: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x = a.values
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x - mu) * inv
-    gv = gain.values
-
-    def bw(g):
-        da = dgain = dbias = None
-        if a.requires_grad:
-            dxhat = g * gv
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            da = inv * (dxhat - m1 - xhat * m2)
-        if gain.requires_grad:
-            dgain = _unbroadcast(g * xhat, gv.shape)
-        if bias.requires_grad:
-            dbias = _unbroadcast_copy(g, bias.values.shape)
-        return da, dgain, dbias
-
-    return _make(xhat * gv + bias.values, (a, gain, bias), bw)
 
 
 def dropout(
@@ -540,12 +485,13 @@ def self_attention(x: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor, wk_w: Diff
 
 
 def residual_layer_norm(x: DiffTensor, r: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
-    """``layer_norm(add(x, r), gain, bias)`` over the last axis as one node.
+    """Layer norm of the residual sum ``x + r`` over the last axis as one node.
 
-    ``x`` and ``r`` have the same shape. The sum is formed, normalized and
-    scaled in one work buffer that becomes the output; the backward pass
-    keeps only the row means and inverse deviations and recomputes the
-    normalized sum from them, bit for bit.
+    ``x`` and ``r`` have the same shape. Each row of the sum becomes
+    (row - mean) / sqrt(var + ``LAYER_NORM_EPS``) * gain + bias. The sum is
+    formed, normalized and scaled in one work buffer that becomes the
+    output; the backward pass keeps only the row means and inverse
+    deviations and recomputes the normalized sum from them, bit for bit.
     """
     if x.values.shape != r.values.shape:
         raise ValueError(f"residual shapes differ: {x.values.shape} and {r.values.shape}")
@@ -557,7 +503,7 @@ def residual_layer_norm(x: DiffTensor, r: DiffTensor, gain: DiffTensor, bias: Di
     values -= mu
     inv = np.einsum("...i,...i->...", values, values)[..., None]
     inv /= d
-    inv += 1e-5  # layer_norm's epsilon
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     values *= inv

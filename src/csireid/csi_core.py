@@ -13,6 +13,7 @@ codec: :class:`BinaryReader`, :func:`f32_bytes` and :func:`write_file`.
 from __future__ import annotations
 
 import csv
+import io
 import operator
 import os
 import struct
@@ -85,8 +86,8 @@ class FeatureSequence:
 
     ``data`` is always a C-contiguous float64 array of shape exactly
     (n_pkt, n_feat), so each packet is one contiguous row; other layouts,
-    such as the feature-major view :func:`flatten_features` returns, are
-    copied once here.
+    such as the feature-major view of a capture's magnitudes that
+    ``preprocess.amplitude_from_complex`` builds, are copied once here.
     """
 
     n_pkt: int
@@ -268,21 +269,30 @@ def read_sample(path: str | Path) -> SampleRecord:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    """Parse a manifest CSV, rejecting duplicates and unknown tokens."""
+    """Parse a manifest CSV, rejecting duplicates and unknown tokens.
+
+    Every format fault raises CsbFormatError naming the path and, for a
+    fault past the header, the line: also bytes that are not UTF-8, a field
+    over csv's size limit and a NUL in a path.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        content = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(raw[: exc.start + 1].splitlines())
+        raise CsbFormatError(f"{path}:{line}: not valid UTF-8") from exc
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(content, newline=""))
+    try:
         if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
-            raise CsbFormatError(
-                f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}"
-            )
+            raise CsbFormatError(f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}")
         for i, row in enumerate(reader, start=2):
             if None in row:
                 raise CsbFormatError(f"{path}:{i}: extra fields {row[None]!r}")
             rel = row["path"]
-            if not rel:
-                raise CsbFormatError(f"{path}:{i}: empty path")
+            if not rel or "\0" in rel:
+                raise CsbFormatError(f"{path}:{i}: {'NUL in' if rel else 'empty'} path")
             if rel in seen:
                 raise CsbFormatError(f"{path}:{i}: duplicate path {rel!r}")
             seen.add(rel)
@@ -300,6 +310,9 @@ def load_manifest(path: str | Path) -> Manifest:
             if split not in SPLITS:
                 raise CsbFormatError(f"{path}:{i}: unknown split {split!r}")
             entries.append(ManifestEntry(rel, subject, Scenario[scen_name], split))
+    except csv.Error as exc:  # a field over csv.field_size_limit(); the
+        # DictReader's own line_num lags the failed line, its reader's does not
+        raise CsbFormatError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     return Manifest(entries)
 
 
@@ -311,15 +324,3 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
         for e in manifest.entries:
             writer.writerow([e.path, e.subject_id, e.scenario.name.lower(), e.split])
 
-
-def flatten_features(values: np.ndarray) -> np.ndarray:
-    """Flatten per-entry values (rx, tx, sub, pkt) to a (pkt, feature) matrix.
-
-    Column order is antenna-pair major, subcarrier minor: entry
-    (r, t, s) lands in column ``(r * n_tx + t) * n_sub + s``.
-    """
-    values = np.asarray(values)
-    if values.ndim != 4:
-        raise ValueError(f"expected a 4-d array, got shape {values.shape}")
-    rx, tx, sub, pkt = values.shape
-    return np.moveaxis(values, -1, 0).reshape(pkt, rx * tx * sub)

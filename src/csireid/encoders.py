@@ -74,12 +74,6 @@ def _linear(params: dict, prefix: str, x: ad.DiffTensor) -> ad.DiffTensor:
     return ad.add(ad.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
 
 
-def _require_batch(x) -> ad.DiffTensor:
-    if not (isinstance(x, ad.DiffTensor) and x.values.ndim == 3):
-        raise ValueError("input must be a rank-3 (B, P, F) DiffTensor")
-    return x
-
-
 # ----------------------------------------------------------- signature head
 
 
@@ -168,18 +162,15 @@ class SignatureModel:
             return self.named
         return {key: ad.constant(t.values, key) for key, t in self.named.items()}
 
-    def encode(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        """(B, enc_dim) encoder output for a (B, P, F) batch."""
-        return self._encode(self._read(training), x, training, rng)
-
     def signatures(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
         """(B, s) unit-norm signatures for a (B, P, F) batch."""
         params = self._read(training)
         return signature_tensor(self._encode(params, x, training, rng), params)
 
     def _encode(self, params: dict, x, training: bool, rng) -> ad.DiffTensor:
-        cfg = self.cfg
-        h = _require_batch(x)
+        if not (isinstance(x, ad.DiffTensor) and x.values.ndim == 3):
+            raise ValueError("input must be a rank-3 (B, P, F) DiffTensor")
+        cfg, h = self.cfg, x
         keep = 1.0 - cfg.dropout_pd
         if cfg.arch == "transformer":
             # post-norm blocks over projected inputs plus the position

@@ -4,11 +4,13 @@ Amplitude extraction plus Hampel outlier filtering, phase extraction plus
 linear sanitization (slope and offset removal per subcarrier row), uniform
 packet resampling, and per-feature standardization. All operations are pure
 functions over FeatureSequence / ComplexCsiTensor values, and every
-FeatureSequence is packet-major, so each packet is one contiguous row. The
-phase is written in that order directly, with +0.0 for each zero entry, and
-sanitized in one subcarrier-major work array, with exactly zero endpoint
-residuals. Sanitization has no settings: the subcarrier index is the
-centered m_k = k - (K-1)/2.
+FeatureSequence is packet-major, so each packet is one contiguous row. A
+capture's (rx, tx, subcarrier) entries become feature columns antenna-pair
+major, subcarrier minor: entry (r, t, s) lands in column
+(r * n_tx + t) * n_sub + s. The phase is written in that order directly,
+with +0.0 for each zero entry, and sanitized in one subcarrier-major work
+array, with exactly zero endpoint residuals. Sanitization has no settings:
+the subcarrier index is the centered m_k = k - (K-1)/2.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from csireid.csi_core import ComplexCsiTensor, FeatureSequence, flatten_features
+from csireid.csi_core import ComplexCsiTensor, FeatureSequence
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +49,7 @@ class HampelConfig:
 
 def amplitude_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
     """Per-entry magnitude sqrt(re^2 + im^2), flattened to (packet, feature)."""
-    amp = flatten_features(np.abs(csi.data))
+    amp = np.moveaxis(np.abs(csi.data), -1, 0).reshape(csi.n_pkt, csi.n_feat)
     return FeatureSequence(csi.n_pkt, csi.n_feat, amp)
 
 

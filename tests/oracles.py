@@ -8,11 +8,47 @@ import numpy as np
 
 from csireid import autodiff as ad
 
+# Elementary ops only the composed oracles use, built on the ``ad._make``
+# contract: each backward closure returns fresh arrays, one per parent.
+
+
+def reshape(a: ad.DiffTensor, shape: tuple[int, ...]) -> ad.DiffTensor:
+    return ad._make(a.values.reshape(shape), (a,), lambda g: (np.array(g.reshape(a.values.shape)),))
+
+
+def tanh(a: ad.DiffTensor) -> ad.DiffTensor:
+    vals = np.tanh(a.values)
+    return ad._make(vals, (a,), lambda g: (g * (1.0 - vals * vals),))
+
+
+def sigmoid(a: ad.DiffTensor) -> ad.DiffTensor:
+    """Overflow-safe: exp only ever sees -|x|, so no x overflows it."""
+    x = a.values
+    e = np.exp(-np.abs(x))
+    vals = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return ad._make(vals, (a,), lambda g: (g * vals * (1.0 - vals),))
+
+
+def layer_norm(a: ad.DiffTensor, gain: ad.DiffTensor, bias: ad.DiffTensor) -> ad.DiffTensor:
+    """Normalize the last axis to zero mean and unit variance, then affine."""
+    x = a.values
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+
+    def bw(g):
+        dxhat = g * gain.values
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dgain = ad._unbroadcast(g * xhat, gain.values.shape)
+        return inv * (dxhat - m1 - xhat * m2), dgain, np.array(ad._unbroadcast(g, bias.values.shape))
+
+    return ad._make(xhat * gain.values + bias.values, (a, gain, bias), bw)
+
 
 def sum_all(a: ad.DiffTensor) -> ad.DiffTensor:
     """Scalar sum of all entries, composed from reshape/mean/mul."""
     n = a.values.size
-    flat = ad.reshape(a, (1, n))
+    flat = reshape(a, (1, n))
     return ad.mul(ad.mean_axis(flat, axis=1), ad.constant(np.array([float(n)])))
 
 
@@ -33,12 +69,12 @@ def _lstm_direction(x: ad.DiffTensor, cell: dict, reverse: bool):
     hs = []
     for xt in steps:
         gates = ad.add(xt, ad.matmul(h, cell["w_h"]))
-        i = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(0, hidden))))
-        f = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(hidden, 2 * hidden))))
-        g = ad.tanh(ad.take_slice(gates, (slice(None), slice(2 * hidden, 3 * hidden))))
-        o = ad.sigmoid(ad.take_slice(gates, (slice(None), slice(3 * hidden, 4 * hidden))))
+        i = sigmoid(ad.take_slice(gates, (slice(None), slice(0, hidden))))
+        f = sigmoid(ad.take_slice(gates, (slice(None), slice(hidden, 2 * hidden))))
+        g = tanh(ad.take_slice(gates, (slice(None), slice(2 * hidden, 3 * hidden))))
+        o = sigmoid(ad.take_slice(gates, (slice(None), slice(3 * hidden, 4 * hidden))))
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
+        h = ad.mul(o, tanh(c))
         hs.append(h)
     if reverse:
         hs = hs[::-1]
@@ -61,7 +97,7 @@ def lstm_encode(x: ad.DiffTensor, layers, reverse, keep_prob: float = 1.0, rng=N
         b = x.values.shape[0]
         passes = [_lstm_direction(x, cell, rev) for cell, rev in zip(cells, reverse)]
         per_dir = [
-            ad.concat([ad.reshape(h, (b, 1, h.values.shape[1])) for h in hs], axis=1)
+            ad.concat([reshape(h, (b, 1, h.values.shape[1])) for h in hs], axis=1)
             for hs, _ in passes
         ]
         x = ad.concat(per_dir, axis=2)
@@ -83,7 +119,7 @@ def multi_head_attention(x: ad.DiffTensor, params: dict, prefix: str, heads: int
     dh = d // heads
 
     def split_heads(t):
-        return ad.transpose(ad.reshape(t, (b, p, heads, dh)), (0, 2, 1, 3))
+        return ad.transpose(reshape(t, (b, p, heads, dh)), (0, 2, 1, 3))
 
     q = split_heads(_linear(params, f"{prefix}.wq", x))
     k = split_heads(_linear(params, f"{prefix}.wk", x))
@@ -93,13 +129,13 @@ def multi_head_attention(x: ad.DiffTensor, params: dict, prefix: str, heads: int
         ad.constant(np.array(1.0 / np.sqrt(dh))),
     )
     mixed = ad.matmul(ad.softmax_axis(scores, axis=3), v)
-    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, p, d))
+    merged = reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, p, d))
     return _linear(params, f"{prefix}.wo", merged)
 
 
 def residual_layer_norm(x, r, params: dict, prefix: str) -> ad.DiffTensor:
     """layer_norm(x + r) as an ``add`` node and a ``layer_norm`` node."""
-    return ad.layer_norm(ad.add(x, r), params[f"{prefix}.g"], params[f"{prefix}.b"])
+    return layer_norm(ad.add(x, r), params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
 def position_table(p: int, d: int) -> np.ndarray:

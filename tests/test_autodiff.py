@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from csireid import autodiff as ad
 from csireid.encoders import EncoderConfig, build_model
-from tests.oracles import lstm_encode, sum_all
+from tests.oracles import layer_norm, lstm_encode, reshape, sigmoid, sum_all, tanh
 
 TOL = 1e-6
 
@@ -40,7 +40,7 @@ def test_softmax_uniform_on_zeros():
 
 def test_layer_norm_reference_values():
     a = ad.constant(np.array([[1.0, 2.0, 3.0]]))
-    out = ad.layer_norm(a, ad.constant(np.ones(3)), ad.constant(np.zeros(3)))
+    out = layer_norm(a, ad.constant(np.ones(3)), ad.constant(np.zeros(3)))
     np.testing.assert_allclose(out.values[0], [-1.2247, 0.0, 1.2247], atol=1e-3)
 
 
@@ -94,7 +94,7 @@ def test_backward_rejects_loss_without_graph():
 
 def test_backward_graph_single_use():
     x = ad.parameter(rand((2, 2), 6))
-    mid = ad.tanh(x)
+    mid = tanh(x)
     loss = sum_all(mid)
     ad.backward(loss)
     with pytest.raises(RuntimeError):
@@ -108,7 +108,7 @@ def test_gradient_accumulation_linear():
     alpha, beta = 0.7, -1.3
 
     def l1():
-        return sum_all(ad.tanh(x))
+        return sum_all(tanh(x))
 
     def l2():
         return sum_all(ad.mul(x, x))
@@ -130,7 +130,7 @@ def test_gradient_accumulation_linear():
 def test_shared_subexpression_fan_out():
     # h feeds two consumers; its upstream must receive both contributions
     x = ad.parameter(np.array([[0.3, -0.7]]))
-    h = ad.tanh(x)
+    h = tanh(x)
     loss = sum_all(ad.add(ad.mul(h, h), h))
     ad.backward(loss)
     t = np.tanh(x.values)
@@ -145,7 +145,7 @@ OWNERSHIP_CASES = {
     "add": lambda a, b: ad.add(a, b),
     "concat": lambda a, b: ad.concat([a, b], axis=0),
     "transpose": lambda a, b: ad.add(ad.transpose(a, (1, 0)), ad.transpose(b, (1, 0))),
-    "reshape": lambda a, b: ad.add(ad.reshape(a, (6,)), ad.reshape(b, (6,))),
+    "reshape": lambda a, b: ad.add(reshape(a, (6,)), reshape(b, (6,))),
     "mean_axis": lambda a, b: ad.add(ad.mean_axis(a, axis=0), ad.mean_axis(b, axis=0)),
     "residual_layer_norm": lambda a, b: ad.residual_layer_norm(
         a, b, ad.constant(rand((3,), 12)), ad.constant(rand((3,), 13))
@@ -194,7 +194,7 @@ def test_grad_check_sum_exact():
 
 def test_grad_check_tanh():
     x = ad.parameter(rand((4, 5), 9))
-    assert ad.grad_check(lambda t: sum_all(ad.tanh(t)), x) < TOL
+    assert ad.grad_check(lambda t: sum_all(tanh(t)), x) < TOL
 
 
 def check_unary(build, x):
@@ -263,7 +263,7 @@ def test_grad_transpose():
 
 def test_grad_reshape():
     x = ad.parameter(rand((3, 8), 25))
-    err = check_unary(lambda t: ad.reshape(t, (2, 3, 4)), x)
+    err = check_unary(lambda t: reshape(t, (2, 3, 4)), x)
     assert err < TOL
 
 
@@ -275,7 +275,13 @@ def test_grad_mean_axis():
 
 def test_grad_sigmoid():
     x = ad.parameter(rand((4, 4), 27, -3, 3))
-    assert check_unary(ad.sigmoid, x) < TOL
+    assert check_unary(sigmoid, x) < TOL
+
+
+def test_sigmoid_saturates_without_overflow():
+    # warnings are errors, so an exp(-x) at x = -800 would raise
+    out = sigmoid(ad.constant(np.array([-800.0, 0.0, 800.0])))
+    np.testing.assert_array_equal(out.values, [0.0, 0.5, 1.0])
 
 
 def test_grad_rectifier():
@@ -301,7 +307,7 @@ def test_grad_layer_norm():
     gain = ad.parameter(rand((7,), 33, 0.5, 1.5))
     bias = ad.parameter(rand((7,), 34))
     err = ad.grad_check(
-        lambda ts: weighted_sum(ad.layer_norm(ts[0], ts[1], ts[2])), [a, gain, bias]
+        lambda ts: weighted_sum(layer_norm(ts[0], ts[1], ts[2])), [a, gain, bias]
     )
     assert err < TOL
 

@@ -19,12 +19,12 @@ from csireid.csi_core import (
     PayloadKind,
     SampleRecord,
     Scenario,
-    flatten_features,
     load_manifest,
     read_sample,
     save_manifest,
     write_sample,
 )
+from csireid.preprocess import amplitude_from_complex
 from tests.oracles import flat_column
 
 HEADER_BYTES = 26
@@ -300,6 +300,40 @@ def test_manifest_bad_header_rejected(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_manifest_non_utf8_rejected_with_its_line(tmp_path, newline):
+    path = tmp_path / "manifest.csv"
+    rows = ["path,subject_id,scenario,split", "a.csb,0,tshirt,train", "b.csb,1,coat,test"]
+    path.write_bytes(newline.join(rows).encode() + newline.encode())
+    assert len(load_manifest(path).entries) == 2
+    path.write_bytes(path.read_bytes().replace(b"b.csb", b"b\xff.csb"))
+    with pytest.raises(CsbFormatError, match=r"manifest.csv:3: not valid UTF-8"):
+        load_manifest(path)
+
+
+def test_manifest_field_over_csv_limit_rejected(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text(
+        "path,subject_id,scenario,split\na.csb,0,tshirt,train\n" + "x" * 200_000 + ",1,coat,test\n"
+    )
+    with pytest.raises(CsbFormatError, match=r"manifest.csv:3: field larger than field limit"):
+        load_manifest(path)
+
+
+def test_manifest_nul_in_path_rejected(tmp_path):
+    # no file can be opened by such a path, so read_sample would fail later
+    path = tmp_path / "manifest.csv"
+    path.write_text("path,subject_id,scenario,split\na.csb,0,tshirt,train\nb\0.csb,1,coat,test\n")
+    with pytest.raises(CsbFormatError, match=r"manifest.csv:3: NUL in path"):
+        load_manifest(path)
+
+
+def flatten_features(values):
+    """A capture's (rx, tx, sub, pkt) non-negative values as amplitude
+    flattens them, each magnitude being the value itself."""
+    return amplitude_from_complex(ComplexCsiTensor(*values.shape, values + 0j)).data
+
+
 def test_flatten_column_order():
     rx, tx, sub, pkt = 2, 1, 3, 4
     values = np.arange(rx * tx * sub * pkt, dtype=float).reshape(rx, tx, sub, pkt)
@@ -323,7 +357,7 @@ def test_flatten_unflatten_round_trip(rx, tx, sub, pkt, rnd):
     # rebuild the entries from the flat matrix through the column map; every
     # column is read exactly once, so nothing is lost or mixed
     rng = np.random.default_rng(rnd.getrandbits(32))
-    values = rng.normal(size=(rx, tx, sub, pkt))
+    values = rng.uniform(0.0, 2.0, size=(rx, tx, sub, pkt))
     seq = flatten_features(values)
     assert seq.shape == (pkt, rx * tx * sub)
     back = np.empty_like(values)
@@ -385,7 +419,7 @@ def test_complex_tensor_rejects_transposed():
 
 
 def test_feature_sequence_fortran_input_c_copy():
-    # flatten_features returns this feature-major layout for every capture
+    # amplitude_from_complex flattens every capture to this feature-major layout
     data = np.asarray(np.arange(12.0).reshape(4, 3), order="F")
     seq = FeatureSequence(4, 3, data)
     assert seq.data.flags.c_contiguous

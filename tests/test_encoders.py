@@ -40,6 +40,11 @@ def make_model(cfg, n_feat, seed):
     return SignatureModel(cfg, n_feat, np.random.default_rng(seed))
 
 
+def encode(model, x, training=False, rng=None):
+    """(B, enc_dim) encoder output, the signature head's input."""
+    return model._encode(model._read(training), x, training, rng)
+
+
 def encoder_params(model):
     """Every parameter except the signature head's."""
     return [t for key, t in model.named.items() if not key.startswith("head.")]
@@ -226,7 +231,7 @@ def test_lstm_zero_params_zero_output():
     model = make_model(cfg, 5, 4)
     for p in encoder_params(model):
         p.values[:] = 0.0
-    out = model.encode(batch(rand_seq()))
+    out = encode(model, batch(rand_seq()))
     np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
 
 
@@ -234,7 +239,7 @@ def test_lstm_single_step_matches_cell_arithmetic():
     cfg = tiny_cfg("lstm")
     model = make_model(cfg, 5, 5)
     seq = rand_seq(p=1, seed=6)
-    out = model.encode(batch(seq))
+    out = encode(model, batch(seq))
     pre = seq.data @ model.named["lstm0.w_x"].values + model.named["lstm0.b"].values
     h = cfg.hidden_d
 
@@ -254,7 +259,7 @@ def test_lstm_grad_through_time():
     tensors = [x, *encoder_params(model)]
 
     def f(ts):
-        out = model.encode(x, training=True)
+        out = encode(model, x, training=True)
         w = ad.constant(np.random.default_rng(10).normal(size=out.values.shape))
         return sum_all(ad.mul(out, w))
 
@@ -264,7 +269,7 @@ def test_lstm_grad_through_time():
 def test_lstm_stacked_shapes():
     cfg = tiny_cfg("lstm", layers_l=2)
     model = make_model(cfg, 5, 11)
-    out = model.encode(batch(rand_seq()), training=True, rng=np.random.default_rng(0))
+    out = encode(model, batch(rand_seq()), training=True, rng=np.random.default_rng(0))
     assert out.values.shape == (1, 4)
 
 
@@ -276,14 +281,14 @@ def test_bilstm_zero_params_zero_output():
     model = make_model(cfg, 5, 12)
     for p in encoder_params(model):
         p.values[:] = 0.0
-    out = model.encode(batch(rand_seq()))
+    out = encode(model, batch(rand_seq()))
     np.testing.assert_array_equal(out.values, np.zeros((1, 8)))
 
 
 def test_bilstm_output_width():
     cfg = tiny_cfg("bilstm")
     model = make_model(cfg, 5, 13)
-    assert model.encode(batch(rand_seq())).values.shape == (1, 8)
+    assert encode(model, batch(rand_seq())).values.shape == (1, 8)
 
 
 def test_bilstm_palindrome_with_tied_weights():
@@ -294,7 +299,7 @@ def test_bilstm_palindrome_with_tied_weights():
     rng = np.random.default_rng(15)
     half = rng.normal(size=(3, 5))
     data = np.vstack([half, half[::-1]])
-    out = model.encode(batch(FeatureSequence(6, 5, data))).values[0]
+    out = encode(model, batch(FeatureSequence(6, 5, data))).values[0]
     np.testing.assert_array_equal(out[:4], out[4:])
 
 
@@ -304,7 +309,7 @@ def test_bilstm_grad_check():
     x = ad.parameter(np.random.default_rng(17).normal(size=(1, 5, 3)))
 
     def f(ts):
-        out = model.encode(x, training=True)
+        out = encode(model, x, training=True)
         w = ad.constant(np.random.default_rng(18).normal(size=out.values.shape))
         return sum_all(ad.mul(out, w))
 
@@ -325,7 +330,7 @@ def test_lstm_sequence_matches_oracle(arch, layers_l, b, p):
     ]
     reverse = [c.endswith(".bwd") for c in cell_prefixes(arch, 0)]
     got = run_with_grads(
-        lambda: model.encode(x, training=True, rng=np.random.default_rng(42)), tensors, 43
+        lambda: encode(model, x, training=True, rng=np.random.default_rng(42)), tensors, 43
     )
     want = run_with_grads(
         lambda: lstm_encode(x, cells, reverse, 0.75, np.random.default_rng(42))[1], tensors, 43
@@ -376,9 +381,9 @@ def test_transformer_packet_order_matters():
     cfg = tiny_cfg("transformer")
     model = make_model(cfg, 5, 21)
     seq = rand_seq(p=6, seed=22)
-    base = model.encode(batch(seq)).values
+    base = encode(model, batch(seq)).values
     permuted = FeatureSequence(6, 5, seq.data[::-1].copy())
-    swapped = model.encode(batch(permuted)).values
+    swapped = encode(model, batch(permuted)).values
     assert np.abs(base - swapped).max() > 1e-6
 
 
@@ -388,7 +393,7 @@ def test_transformer_grad_check():
     x = ad.parameter(np.random.default_rng(24).normal(size=(1, 4, 3)))
 
     def f(ts):
-        out = model.encode(x, training=True)
+        out = encode(model, x, training=True)
         w = ad.constant(np.random.default_rng(25).normal(size=out.values.shape))
         return sum_all(ad.mul(out, w))
 
@@ -403,7 +408,7 @@ def test_transformer_matches_composed_in_training(layers_l, b, p):
     x = ad.parameter(np.random.default_rng(51).normal(size=(b, p, 3)))
     tensors = [x, *encoder_params(model)]
     got = run_with_grads(
-        lambda: model.encode(x, training=True, rng=np.random.default_rng(52)), tensors, 53
+        lambda: encode(model, x, training=True, rng=np.random.default_rng(52)), tensors, 53
     )
     want = run_with_grads(
         lambda: transformer_encode(x, model.named, layers_l, 3, 0.75, np.random.default_rng(52)),
@@ -418,7 +423,7 @@ def test_transformer_matches_composed_in_eval_with_input_grad():
     model = make_model(cfg, 3, 54)
     x = ad.parameter(np.random.default_rng(55).normal(size=(3, 5, 3)))
     frozen = {k: ad.constant(t.values) for k, t in model.named.items()}
-    got = run_with_grads(lambda: model.encode(x), [x], 56)
+    got = run_with_grads(lambda: encode(model, x), [x], 56)
     want = run_with_grads(lambda: transformer_encode(x, frozen, 2, 3), [x], 56)
     assert_same_run(got, want)
     assert all(t.grad is None for t in model.params)
@@ -458,7 +463,7 @@ def test_transformer_checkpoint_layout_unchanged(tmp_path):
 def test_transformer_two_layer_train_mode_runs():
     cfg = tiny_cfg("transformer", layers_l=2, dropout_pd=0.2)
     model = make_model(cfg, 5, 26)
-    out = model.encode(batch(rand_seq()), training=True, rng=np.random.default_rng(1))
+    out = encode(model, batch(rand_seq()), training=True, rng=np.random.default_rng(1))
     assert out.values.shape == (1, 4)
 
 
@@ -469,7 +474,7 @@ def test_encoders_reject_non_batch_input(arch):
     for x in (seq, ad.constant(seq.data), ad.constant(seq.data[None, None])):
         for training in (False, True):
             with pytest.raises(ValueError, match="rank-3"):
-                model.encode(x, training=training)
+                encode(model, x, training=training)
             with pytest.raises(ValueError, match="rank-3"):
                 model.signatures(x, training=training)
 
@@ -635,7 +640,7 @@ def test_eval_signatures_build_no_graph(arch):
     x = ad.constant(np.random.default_rng(32).normal(size=(2, 4, 3)))
     sig = model.signatures(x)
     assert not sig.requires_grad and sig._parents == ()
-    assert not model.encode(x).requires_grad
+    assert not encode(model, x).requires_grad
     # the constants share the parameters' arrays: a weight update shows at once
     model.named["head.b"].values += 1.0
     moved = model.signatures(x).values

@@ -1,7 +1,9 @@
 """Every console script that pyproject.toml declares, and every package
-name the benchmark calls, must resolve; the pytest settings it declares
-must report every test."""
+name the benchmark calls, must resolve; every public package name must have
+a caller outside the tests; the pytest settings it declares must report
+every test."""
 
+import ast
 import dataclasses
 import importlib
 import subprocess
@@ -17,7 +19,8 @@ from csireid import csi_core as core
 from csireid import preprocess as pre
 from csireid.encoders import EncoderConfig, build_model
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_declared_scripts_are_importable_callables():
@@ -107,6 +110,56 @@ CONFIG_FIELDS = {
 def test_config_fields_pinned():
     for cls, names in CONFIG_FIELDS.items():
         assert tuple(f.name for f in dataclasses.fields(cls) if f.init) == names, cls.__name__
+
+
+def _last_name(node) -> str | None:
+    """``b`` for ``b``, ``a.b`` and ``f().b``: the name an attribute hangs on."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_public_names_have_a_non_test_caller():
+    # a public function or class that only tests call belongs in the tests
+    src = ROOT / "src" / "csireid"
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in [
+        *sorted(src.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]}
+    public = {
+        (p.stem, node.name)
+        for p, tree in trees.items() if p.parent == src
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set()
+    aliases: dict[str, set[str]] = {}  # a local name -> the package modules it stands for
+    for p, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("csireid."):
+                used |= {(node.module.split(".")[1], a.name) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module == "csireid":
+                for a in node.names:
+                    aliases.setdefault(a.asname or a.name, set()).add(a.name)
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.startswith("csireid."):
+                        module = a.name.split(".")[1]
+                        aliases.setdefault(a.asname or module, set()).add(module)
+            elif isinstance(node, ast.Name) and p.parent == src:
+                used.add((p.stem, node.id))
+    # the benchmark's Api names each module by a dict key (spans.MODULES),
+    # and its workloads and loss reach the module through that name
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    first = value.elts[0] if isinstance(value, ast.Tuple) and value.elts else None
+                    if isinstance(key, ast.Constant) and _last_name(first) in aliases:
+                        aliases.setdefault(key.value, set()).update(aliases[_last_name(first)])
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used |= {(module, node.attr) for module in aliases.get(_last_name(node.value), ())}
+    assert sorted(f"{m}.{n}" for m, n in public - used) == []
 
 
 FAILING_HYPOTHESIS_FILE = """
