@@ -59,7 +59,13 @@ def _require_finite(data: np.ndarray, what: str) -> None:
 
 @dataclass
 class ComplexCsiTensor:
-    """Complex CFR samples, row-major over (rx, tx, subcarrier, packet)."""
+    """Complex CFR samples, row-major over (rx, tx, subcarrier, packet).
+
+    ``data`` keeps complex64 input as it is, which is how captures are
+    stored, and widens any other input to complex128. Preprocessing computes
+    in float64 from either, and widening complex64 is exact, so a capture
+    gives the same features as its complex128 widening, bit for bit.
+    """
 
     n_rx: int
     n_tx: int
@@ -71,7 +77,9 @@ class ComplexCsiTensor:
         for name in ("n_rx", "n_tx", "n_sub", "n_pkt"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        self.data = np.asarray(self.data, dtype=np.complex128)
+        self.data = np.asarray(self.data)
+        if self.data.dtype != np.complex64:
+            self.data = self.data.astype(np.complex128, copy=False)
         _require_shape(self.data, (self.n_rx, self.n_tx, self.n_sub, self.n_pkt))
         _require_finite(self.data, "CSI tensor")
 
@@ -86,8 +94,7 @@ class FeatureSequence:
 
     ``data`` is always a C-contiguous float64 array of shape exactly
     (n_pkt, n_feat), so each packet is one contiguous row; other layouts,
-    such as the feature-major view of a capture's magnitudes that
-    ``preprocess.amplitude_from_complex`` builds, are copied once here.
+    such as a feature-major view, are copied once here.
     """
 
     n_pkt: int
@@ -188,12 +195,13 @@ class BinaryReader:
         return struct.unpack_from(fmt, self.raw, self._advance(struct.calcsize(fmt), what))
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        """``count`` "<f4" or "<c8" values widened to float64 or complex128;
-        the caller checks them for non-finite values, once per payload."""
+        """``count`` "<f4" values widened to float64, or "<c8" values copied as
+        complex64, which every consumer widens exactly where it computes; the
+        caller checks them for non-finite values, once per payload."""
         start = self._advance(count * np.dtype(dtype).itemsize, what)
         values = np.frombuffer(self.raw, dtype, count=count, offset=start)
         with np.errstate(invalid="ignore"):  # a signaling NaN warns in the cast
-            return values.astype(np.promote_types(dtype, np.float64))
+            return values.astype(np.complex64 if values.dtype.kind == "c" else np.float64)
 
     def finish(self) -> None:
         if self.offset != len(self.raw):
@@ -272,8 +280,10 @@ def load_manifest(path: str | Path) -> Manifest:
     """Parse a manifest CSV, rejecting duplicates and unknown tokens.
 
     Every format fault raises CsbFormatError naming the path and, for a
-    fault past the header, the line: also bytes that are not UTF-8, a field
-    over csv's size limit and a NUL in a path.
+    fault past the header, the physical line its record starts on (blank
+    lines are skipped, and a quoted field may span lines): also bytes that
+    are not UTF-8, a field over csv's size limit, and a NUL or a line break
+    in a path.
     """
     raw = Path(path).read_bytes()
     try:
@@ -283,36 +293,41 @@ def load_manifest(path: str | Path) -> Manifest:
         raise CsbFormatError(f"{path}:{line}: not valid UTF-8") from exc
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    reader = csv.DictReader(io.StringIO(content, newline=""))
+    width = len(MANIFEST_COLUMNS)
+    reader = csv.reader(io.StringIO(content, newline=""))
     try:
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
+        if tuple(next(reader, ())) != MANIFEST_COLUMNS:
             raise CsbFormatError(f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}")
-        for i, row in enumerate(reader, start=2):
-            if None in row:
-                raise CsbFormatError(f"{path}:{i}: extra fields {row[None]!r}")
-            rel = row["path"]
+        end = reader.line_num
+        for fields in reader:
+            i, end = end + 1, reader.line_num
+            if not fields:  # a blank line
+                continue
+            if len(fields) > width:
+                raise CsbFormatError(f"{path}:{i}: extra fields {fields[width:]!r}")
+            rel, text, scen_raw, split = fields + [None] * (width - len(fields))
             if not rel or "\0" in rel:
                 raise CsbFormatError(f"{path}:{i}: {'NUL in' if rel else 'empty'} path")
+            if "\r" in rel or "\n" in rel:
+                raise CsbFormatError(f"{path}:{i}: line break in path")
             if rel in seen:
                 raise CsbFormatError(f"{path}:{i}: duplicate path {rel!r}")
             seen.add(rel)
             # ASCII digits only: int() also takes signs, spaces, underscores
             # and non-ASCII digits; a CSB header holds at most 2**32 - 1
-            text = row["subject_id"] or ""
+            text = text or ""
             digits = text.isascii() and text.isdigit() and len(text.lstrip("0")) <= 10
             if not digits or int(text) >= 2**32:
                 raise CsbFormatError(f"{path}:{i}: bad subject_id")
             subject = int(text)
-            scen_name = (row["scenario"] or "").upper()
+            scen_name = (scen_raw or "").upper()
             if scen_name not in Scenario.__members__:
-                raise CsbFormatError(f"{path}:{i}: unknown scenario {row['scenario']!r}")
-            split = row["split"]
+                raise CsbFormatError(f"{path}:{i}: unknown scenario {scen_raw!r}")
             if split not in SPLITS:
                 raise CsbFormatError(f"{path}:{i}: unknown split {split!r}")
             entries.append(ManifestEntry(rel, subject, Scenario[scen_name], split))
-    except csv.Error as exc:  # a field over csv.field_size_limit(); the
-        # DictReader's own line_num lags the failed line, its reader's does not
-        raise CsbFormatError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise CsbFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return Manifest(entries)
 
 

@@ -24,8 +24,9 @@ from csireid.csi_core import ComplexCsiTensor, FeatureSequence
 
 log = logging.getLogger(__name__)
 
-# Packets per block of the interior Hampel pass. A block's lane buffers, w + 2
-# of (block, n_feat) float64, stay cache-resident at the default window.
+# Packets per block of the interior Hampel pass. A block's lane buffers, at
+# most w + 3 of (block, n_feat) float64, stay cache-resident at the default
+# window.
 HAMPEL_BLOCK = 64
 
 
@@ -48,23 +49,31 @@ class HampelConfig:
 
 
 def amplitude_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
-    """Per-entry magnitude sqrt(re^2 + im^2), flattened to (packet, feature)."""
-    amp = np.moveaxis(np.abs(csi.data), -1, 0).reshape(csi.n_pkt, csi.n_feat)
-    return FeatureSequence(csi.n_pkt, csi.n_feat, amp)
+    """Per-entry magnitude sqrt(re^2 + im^2), flattened to (packet, feature).
+
+    ``abs`` runs in float64, whatever the capture's dtype, over the
+    (pkt, rx, tx, sub) view of the data and writes one packet-major buffer,
+    which becomes the sequence without a copy.
+    """
+    data = np.moveaxis(csi.data, -1, 0)
+    amp = np.empty(data.shape)
+    np.abs(data, out=amp, dtype=np.float64)
+    return FeatureSequence(csi.n_pkt, csi.n_feat, amp.reshape(csi.n_pkt, csi.n_feat))
 
 
 def phase_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
     """Four-quadrant angle in (-pi, pi], flattened to (packet, feature).
 
-    ``arctan2`` runs over the (pkt, rx, tx, sub) view of the data and writes
-    one packet-major buffer, which becomes the sequence without a copy. The
-    angle of a zero entry, of either sign in either part, is defined as +0.0
-    and logged, since it carries no direction information. Only an angle of
-    0 or +-pi can come from a zero entry, so only those are checked.
+    ``arctan2`` runs in float64, whatever the capture's dtype, over the
+    (pkt, rx, tx, sub) view of the data and writes one packet-major buffer,
+    which becomes the sequence without a copy. The angle of a zero entry, of
+    either sign in either part, is defined as +0.0 and logged, since it
+    carries no direction information. Only an angle of 0 or +-pi can come
+    from a zero entry, so only those are checked.
     """
     data = np.moveaxis(csi.data, -1, 0)
     ang = np.empty(data.shape)
-    np.arctan2(data.imag, data.real, out=ang)
+    np.arctan2(data.imag, data.real, out=ang, dtype=np.float64)
     np.copyto(ang, np.pi, where=ang == -np.pi)
     suspect = np.flatnonzero((ang == 0.0) | (ang == np.pi))
     zero = suspect[data[np.unravel_index(suspect, ang.shape)] == 0]
@@ -74,45 +83,71 @@ def phase_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
     return FeatureSequence(csi.n_pkt, csi.n_feat, ang.reshape(csi.n_pkt, csi.n_feat))
 
 
-def _middle_lane_network(n: int) -> list[tuple[int, bool, bool]]:
-    """Odd-even transposition network on n lanes, pruned to the middle lane.
+# Devillard's opt_med5, "Fast median search: an ANSI C implementation"
+# (1998), from Paeth's networks (Graphics Gems, 1990): 7 compare-exchanges
+# of which lane 2 ends up the median of five.
+_MED5 = ((0, 1), (3, 4), (0, 3), (1, 4), (1, 2), (2, 3), (1, 2))
 
-    Returns the compare-exchanges of lanes (i, i + 1) in execution order as
-    (i, keep_min, keep_max). An output that neither the middle lane nor a
-    later step reads is not computed; a step with no such output is dropped.
+
+def _middle_lane_network(n: int) -> list[tuple[int, int, bool, bool]]:
+    """A min/max network on n lanes, pruned to the middle lane.
+
+    For n = 5 it is ``_MED5``; otherwise the odd-even transposition network.
+    Returns the compare-exchanges of lanes (i, j), i < j, in execution order
+    as (i, j, keep_min, keep_max). An output that neither the middle lane nor
+    a later step reads is not computed; a step with no such output is
+    dropped.
     """
-    steps = [i for r in range(n) for i in range(r % 2, n - 1, 2)]
+    if n == 5:
+        steps = _MED5
+    else:
+        steps = [(i, i + 1) for r in range(n) for i in range(r % 2, n - 1, 2)]
     live = {n // 2}
     kept = []
-    for i in reversed(steps):
-        lo, hi = i in live, i + 1 in live
+    for i, j in reversed(steps):
+        lo, hi = i in live, j in live
         if lo or hi:
-            kept.append((i, lo, hi))
-            live |= {i, i + 1}
+            kept.append((i, j, lo, hi))
+            live |= {i, j}
     return kept[::-1]
 
 
 def _select_middle(
-    lanes: list[np.ndarray], spare: np.ndarray, network: list[tuple[int, bool, bool]]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run ``network`` in place; return the middle lane and the free buffers.
+    lanes: list[np.ndarray],
+    owned: list[bool],
+    free: list[np.ndarray],
+    network: list[tuple[int, int, bool, bool]],
+) -> np.ndarray:
+    """Run ``network`` over ``lanes`` and return the middle lane.
 
-    The free buffers are the other lanes and the spare, for the caller to
-    reuse. Every step stores np.minimum/np.maximum of two lanes, so each output
-    element is one of the input elements, bit for bit.
+    A lane with ``owned`` false is read-only: a row of the input, or a value
+    the caller still needs. A compare-exchange writes each kept output into
+    an owned input it replaces or into a buffer taken from ``free``, and puts
+    each owned buffer it no longer needs back there, so on return ``free``
+    holds every owned buffer but the result. Every step stores
+    np.minimum/np.maximum of two lanes, so each output element is one of the
+    input elements, bit for bit.
     """
-    for i, lo, hi in network:
-        a, b = lanes[i], lanes[i + 1]
-        if lo and hi:
-            np.minimum(a, b, out=spare)
-            np.maximum(a, b, out=b)
-            lanes[i], spare = spare, a
-        elif lo:
-            np.minimum(a, b, out=a)
-        else:
-            np.maximum(a, b, out=b)
-    mid = len(lanes) // 2
-    return lanes[mid], lanes[:mid] + lanes[mid + 1 :] + [spare]
+    lanes, owned = list(lanes), list(owned)
+    for i, j, lo, hi in network:
+        a, b = lanes[i], lanes[j]
+        mn = mx = None
+        if lo:
+            # with both outputs kept, the maximum still reads a after this
+            mn = a if owned[i] and not hi else free.pop()
+            np.minimum(a, b, out=mn)
+        if hi:
+            mx = b if owned[j] else free.pop()
+            np.maximum(a, b, out=mx)
+        if owned[i] and mn is not a:
+            free.append(a)
+        if owned[j] and mx is not b:
+            free.append(b)
+        if lo:
+            lanes[i], owned[i] = mn, True
+        if hi:
+            lanes[j], owned[j] = mx, True
+    return lanes[len(lanes) // 2]
 
 
 def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> FeatureSequence:
@@ -125,14 +160,18 @@ def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> Feat
     Full windows have odd length w, so their median is one window value and
     their MAD is one of the values |x - median|. They are taken, a block of
     ``HAMPEL_BLOCK`` packets at a time, from the middle lane of a min/max
-    network over the w shifted rows. The network only compare-exchanges, so
-    it moves values without rounding any, and the MAD network runs on the
-    same |x - median| values a sort-based median would see. The result
-    therefore equals ``np.median`` over each window bit for bit, without
-    window-sized copies of the sequence; the one freedom is which of 0.0
-    and -0.0 a window holding both returns, which no sort fixes either. The
-    2 * (w // 2) truncated boundary windows have even or short lengths and
-    use ``np.median``.
+    network over the w shifted rows: Devillard's median-of-5 network for
+    w = 5, the default, and an odd-even transposition network otherwise,
+    each pruned to the middle lane. The first steps read the rows in place,
+    and the MAD network keeps the centre row's deviation, which the outlier
+    test reads next. The network only compare-exchanges, so it moves values
+    without rounding any, and the MAD network runs on the same |x - median|
+    values a sort-based median would see. The result therefore equals
+    ``np.median`` over each window bit for bit, without window-sized copies
+    of the sequence; the one freedom is which of 0.0 and -0.0 a window
+    holding both returns, which no sort fixes either. The 2 * (w // 2)
+    truncated boundary windows have even or short lengths and use
+    ``np.median``.
     """
     cfg = cfg or HampelConfig()
     x = seq.data
@@ -143,24 +182,23 @@ def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> Feat
     if p >= w:
         network = _middle_lane_network(w)
         block = min(HAMPEL_BLOCK, p - 2 * half)
-        bufs = [np.empty((block, seq.n_feat)) for _ in range(w + 2)]
+        # each network holds at most w + 1 buffers at once; the MAD network
+        # runs beside the median and the centre row's deviation
+        bufs = [np.empty((block, seq.n_feat)) for _ in range(w + 3)]
         mask = np.empty((block, seq.n_feat), dtype=bool)
         for r0 in range(half, p - half, block):
             nb = min(block, p - half - r0)
             rows = [x[r0 - half + k : r0 - half + k + nb] for k in range(w)]
-            lanes = [b[:nb] for b in bufs]
-            for lane, row in zip(lanes, rows):
-                np.copyto(lane, row)
-            med, dev = _select_middle(lanes[:w], lanes[w], network)
+            free = [b[:nb] for b in bufs]
+            med = _select_middle(rows, [False] * w, free, network)
+            dev = [free.pop() for _ in range(w)]
             for d, row in zip(dev, rows):
                 np.subtract(row, med, out=d)
                 np.abs(d, out=d)
-            mad, free = _select_middle(dev, lanes[w + 1], network)
+            owned = [k != half for k in range(w)]
+            mad = _select_middle(dev, owned, free, network)
             np.multiply(mad, cfg.xi, out=mad)
-            centre = free[0]
-            np.subtract(rows[half], med, out=centre)
-            np.abs(centre, out=centre)
-            np.greater(centre, mad, out=mask[:nb])
+            np.greater(dev[half], mad, out=mask[:nb])
             np.copyto(out[r0 : r0 + nb], med, where=mask[:nb])
         edges = [*range(half), *range(p - half, p)]
     else:
@@ -186,6 +224,10 @@ def sanitize_phase(phase: FeatureSequence, n_sub: int) -> FeatureSequence:
     The rows are copied once into a subcarrier-major (K, pkt, groups) work
     array, so unwrap and detrend are long vector operations along axis 0,
     with the output's buffer as scratch until the result is copied back.
+    The unwrap's running sum of 2*pi turns is a loop of whole-row adds:
+    ``np.cumsum`` along axis 0 accumulates one (packet, group) lane at a
+    time, at a stride of a full row, and takes several times as long for
+    the same adds in the same order.
 
     The line through the endpoints is subtracted in interpolation form,
     first*(1 - t) then last*t with t[0] == 0.0 and t[-1] == 1.0 exactly, so
@@ -209,7 +251,8 @@ def sanitize_phase(phase: FeatureSequence, n_sub: int) -> FeatureSequence:
     np.divide(turns, 2.0 * np.pi, out=turns)
     np.floor(turns, out=turns)
     np.multiply(turns, 2.0 * np.pi, out=turns)
-    np.cumsum(turns, axis=0, out=turns)
+    for r in range(1, k - 1):
+        np.add(turns[r - 1], turns[r], out=turns[r])
     work[1:] += turns
     t = (np.arange(k) / (k - 1))[:, None, None]  # t[0] == 0.0 and t[-1] == 1.0 exactly
     work -= np.multiply(work[0], 1.0 - t, out=scratch)

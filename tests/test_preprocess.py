@@ -12,6 +12,7 @@ from csireid.csi_core import ComplexCsiTensor, FeatureSequence
 from csireid.preprocess import (
     HAMPEL_BLOCK,
     HampelConfig,
+    _middle_lane_network,
     amplitude_from_complex,
     hampel_filter,
     phase_from_complex,
@@ -57,6 +58,26 @@ def test_amplitude_absolute_homogeneity(c):
     base = amplitude_from_complex(ComplexCsiTensor(1, 1, 2, 3, data)).data
     scaled = amplitude_from_complex(ComplexCsiTensor(1, 1, 2, 3, c * data)).data
     np.testing.assert_allclose(scaled, abs(c) * base, rtol=1e-12)
+
+
+def test_complex64_capture_matches_its_complex128_widening(caplog):
+    # a stored capture stays complex64; amplitude and phase widen it exactly
+    rng = np.random.default_rng(23)
+    dims = (3, 1, 114, 40)
+    c64 = (rng.normal(size=dims) + 1j * rng.normal(size=dims)).astype(np.complex64)
+    signed = np.array([0.0, -0.0, 1.5, -1.5], dtype=np.float32)
+    parts = np.stack(np.meshgrid(signed, signed), -1).reshape(-1, 2)
+    c64.real.flat[: len(parts)], c64.imag.flat[: len(parts)] = parts.T
+    wide = c64.astype(np.complex128)
+    narrow = ComplexCsiTensor(*dims, c64)
+    assert narrow.data.dtype == np.complex64
+    for stage in (amplitude_from_complex, phase_from_complex):
+        got, want = stage(narrow).data, stage(ComplexCsiTensor(*dims, wide)).data
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    zeros = np.flatnonzero(np.moveaxis(c64, -1, 0).reshape(-1) == 0)
+    assert zeros.size == 4
+    assert phase_from_complex(narrow).data.flat[zeros].tobytes() == np.zeros(4).tobytes()
 
 
 # ------------------------------------------------------------------- hampel
@@ -124,6 +145,29 @@ def test_hampel_matches_oracle_property(data):
     out = hampel_filter(FeatureSequence(p, 3, cols), HampelConfig(window_w=w, xi=xi))
     for j in range(3):
         assert np.array_equal(out.data[:, j], hampel_column(cols[:, j], w, xi))
+
+
+def test_hampel_matches_oracle_on_every_column_of_a_capture():
+    # a full capture's shape: many blocks, a short last block, w = 5
+    rng = np.random.default_rng(29)
+    x = rng.integers(0, 4, size=(2000, 342)).astype(np.float64)  # ties
+    x[rng.random(size=x.shape) < 0.2] = 0.0
+    x[rng.random(size=x.shape) < 0.1] = -0.0  # signed zeros in one window
+    x[rng.random(size=x.shape) < 0.02] *= 40.0  # spikes
+    cfg = HampelConfig()
+    out = hampel_filter(FeatureSequence(*x.shape, x), cfg)
+    for j in range(x.shape[1]):
+        assert np.array_equal(out.data[:, j], hampel_column(x[:, j], cfg.window_w, cfg.xi))
+
+
+def test_hampel_default_window_runs_opt_med5():
+    # Devillard's opt_med5 pruned to the middle lane: 10 min/max calls per
+    # network, against 14 for the pruned odd-even transposition network
+    network = _middle_lane_network(5)
+    assert [(i, j) for i, j, _, _ in network] == [
+        (0, 1), (3, 4), (0, 3), (1, 4), (1, 2), (2, 3), (1, 2)
+    ]
+    assert sum(lo + hi for *_, lo, hi in network) == 10
 
 
 def test_hampel_allocation_bounded():
