@@ -1,14 +1,18 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float32 and float64 tensors.
 
 Forward ops build a single-use graph. Each op's output node keeps its
 parents and a closure, its vector-Jacobian product, that maps the output's
-gradient to one gradient per parent: a fresh array that nothing else holds,
-or None for a parent that needs none. Ops never touch ``grad``.
-:func:`backward` walks the graph once in reverse topological order and is
-the one place that accumulates: it adopts a parent's first gradient and adds
-later ones into it in place. So an op whose gradient would be a view of its
-incoming gradient (``concat``, ``transpose``, ``mean_axis``, and ``add``
-without broadcasting) returns a copy.
+gradient to one gradient per parent, or None for a parent that needs none.
+Ops never touch ``grad``. :func:`backward` walks the graph once in reverse
+topological order and is the one place that accumulates: it adopts a
+parent's first gradient and adds later ones into it in place, so a returned
+gradient must overlap no array that anything else holds (see :func:`_make`).
+
+Ops are dtype-generic: each computes and allocates in its inputs' dtype,
+and :func:`backward` casts every gradient to its parent's dtype, so a
+float32 graph whose leaves are float64 parameters read through :func:`cast`
+nodes hands those parameters float64 gradients. Parameters, the optimizer
+and checkpoints stay float64.
 
 Most ops are elementary. Three are fused nodes with their backward passes
 written by hand: :func:`lstm_sequence` runs a whole (bi-directional) LSTM
@@ -51,8 +55,14 @@ class CheckpointFormatError(Exception):
     """Raised when a parameter checkpoint file is malformed."""
 
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class DiffTensor:
-    """A float64 array plus its gradient and graph linkage.
+    """A float32 or float64 array plus its gradient and graph linkage.
+
+    Values of another dtype (integers, booleans, float16) are widened to
+    float64. ``grad``, once set, has the dtype of ``values``.
 
     ``grad`` is written only by :func:`backward`, which owns the array it
     holds; :func:`adam_step` reads and clears it. Graphs are single-use:
@@ -63,7 +73,8 @@ class DiffTensor:
     __slots__ = ("values", "grad", "requires_grad", "name", "_parents", "_backward", "_consumed")
 
     def __init__(self, values, requires_grad: bool = False, name: str = ""):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        self.values = values if values.dtype in _FLOATS else values.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -94,10 +105,13 @@ def _make(values: np.ndarray, parents: tuple[DiffTensor, ...], bw) -> DiffTensor
     ``bw`` is the op's vector-Jacobian product, kept only when a parent
     requires grad: ``bw(g)`` maps the output's gradient ``g`` to one
     gradient per parent, in parent order, with None for a parent that needs
-    none. Each returned array must be one that nothing else holds, neither
-    ``g`` nor another returned array, because :func:`backward` adopts it as
-    the parent's ``grad`` and later adds into it in place; an op whose
-    gradient would be a view of ``g`` returns a copy. Work that only the
+    none. :func:`backward` adopts each returned array as the parent's
+    ``grad`` and later adds into it in place, and drops ``g`` once ``bw``
+    has run. So a returned gradient may be ``g`` itself or a writable view
+    of it, provided it overlaps no other returned array: ``concat`` returns
+    disjoint pieces of ``g`` and ``transpose`` a view of it, while
+    ``mean_axis`` (a read-only broadcast view) and ``add`` without
+    broadcasting (``g`` for both parents) return copies. Work that only the
     backward pass needs belongs inside ``bw``, so eval-mode forward passes
     do none of it.
     """
@@ -131,6 +145,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # matmul, mul and the fused ops skip the gradient of a parent that does not
 # require grad, since it costs as much as the others; the cheap ops return
 # every parent's gradient and backward drops the unused.
+
+
+def cast(a: DiffTensor, dtype) -> DiffTensor:
+    """``a``'s values as float32 or float64; the gradient returns in ``a``'s dtype."""
+    dtype = np.dtype(dtype)
+    if dtype not in _FLOATS:
+        raise ValueError(f"cast to {dtype} is not supported; use float32 or float64")
+    src = a.values.dtype
+
+    def bw(g):
+        return (g.astype(src),)
+
+    return _make(a.values.astype(dtype), (a,), bw)
 
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
@@ -176,7 +203,7 @@ def concat(tensors: list[DiffTensor], axis: int) -> DiffTensor:
 
     def bw(g):
         splits = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
-        return [np.array(piece) for piece in np.split(g, splits, axis=axis)]
+        return np.split(g, splits, axis=axis)
 
     return _make(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors), bw)
 
@@ -185,7 +212,7 @@ def take_slice(a: DiffTensor, index) -> DiffTensor:
     """Basic indexing (ints and slices); gradient scatters back into place."""
 
     def bw(g):
-        buf = np.zeros(a.values.shape)
+        buf = np.zeros(a.values.shape, dtype=a.values.dtype)
         buf[index] = g
         return (buf,)
 
@@ -194,7 +221,7 @@ def take_slice(a: DiffTensor, index) -> DiffTensor:
 
 def transpose(a: DiffTensor, axes: tuple[int, ...]) -> DiffTensor:
     def bw(g):
-        return (np.array(np.transpose(g, tuple(np.argsort(axes)))),)
+        return (np.transpose(g, tuple(np.argsort(axes))),)
 
     return _make(np.ascontiguousarray(np.transpose(a.values, axes)), (a,), bw)
 
@@ -248,7 +275,7 @@ def dropout(
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs a generator")
-    mask = (rng.random(a.values.shape) < keep_prob) / keep_prob
+    mask = np.divide(rng.random(a.values.shape) < keep_prob, keep_prob, dtype=a.values.dtype)
 
     def bw(g):
         return (g * mask,)
@@ -312,8 +339,9 @@ def lstm_sequence(
                     f"direction {d}: {name} has shape {t.values.shape}, expected {want[name]}"
                 )
     order = [slice(None, None, -1) if r else slice(None) for r in reverse]
+    dt = np.result_type(x.values, *(t.values for t in (*w_x, *w_h, *b)))
     # tanh pre-scale and post-affine that turn the i, f, o columns into sigmoids
-    half = np.full((4, hid), 0.5)
+    half = np.full((4, hid), 0.5, dtype=dt)
     half[2] = 1.0
     half = half.reshape(-1)
     shift = 1.0 - half
@@ -325,15 +353,15 @@ def lstm_sequence(
     proj = proj.reshape(n_b, n_p, n_dir, 4 * hid)
     # direction-major, step-major state: [:, s] holds step s of every
     # direction, and step s of direction d reads packet order[d][s]
-    gates = np.empty((n_dir, n_p, n_b, 4 * hid))
+    gates = np.empty((n_dir, n_p, n_b, 4 * hid), dtype=dt)
     for d in range(n_dir):
         np.add(proj[:, order[d], d].transpose(1, 0, 2), b[d].values * half, out=gates[d])
     del proj
-    cells = np.zeros((n_dir, n_p + 1, n_b, hid))  # [:, s + 1] after step s
-    states = np.zeros((n_dir, n_p + 1, n_b, hid))
-    tanh_c = np.empty((n_dir, n_p, n_b, hid))
-    rec = np.empty((n_dir, n_b, 4 * hid))
-    ig = np.empty((n_dir, n_b, hid))
+    cells = np.zeros((n_dir, n_p + 1, n_b, hid), dtype=dt)  # [:, s + 1] after step s
+    states = np.zeros((n_dir, n_p + 1, n_b, hid), dtype=dt)
+    tanh_c = np.empty((n_dir, n_p, n_b, hid), dtype=dt)
+    rec = np.empty((n_dir, n_b, 4 * hid), dtype=dt)
+    ig = np.empty((n_dir, n_b, hid), dtype=dt)
     for s in range(n_p):
         z = gates[:, s]
         np.matmul(states[:, s], wh, out=rec)
@@ -347,7 +375,7 @@ def lstm_sequence(
         np.tanh(cells[:, s + 1], out=tanh_c[:, s])
         np.multiply(z[..., 3 * hid :], tanh_c[:, s], out=states[:, s + 1])
 
-    values = np.empty((n_b, n_p, n_dir * hid))
+    values = np.empty((n_b, n_p, n_dir * hid), dtype=dt)
     for d in range(n_dir):
         values[:, order[d], d * hid : (d + 1) * hid] = states[d, 1:].transpose(1, 0, 2)
 
@@ -367,13 +395,13 @@ def lstm_sequence(
         dc_dh = np.multiply(tanh_c, tanh_c)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o
-        dh_out = np.empty((n_dir, n_p, n_b, hid))
+        dh_out = np.empty((n_dir, n_p, n_b, hid), dtype=dt)
         for d in range(n_dir):
             dh_out[d] = g[:, order[d], d * hid : (d + 1) * hid].transpose(1, 0, 2)
         wh_t = np.stack([w.values for w in w_h]).transpose(0, 2, 1)
-        dh = np.zeros((n_dir, n_b, hid))
-        dc = np.zeros((n_dir, n_b, hid))
-        tmp = np.empty((n_dir, n_b, hid))
+        dh = np.zeros((n_dir, n_b, hid), dtype=dt)
+        dc = np.zeros((n_dir, n_b, hid), dtype=dt)
+        tmp = np.empty((n_dir, n_b, hid), dtype=dt)
         # dh and dc carry the gradient of step s's h and c from later steps
         for s in range(n_p - 1, -1, -1):
             dh += dh_out[:, s]
@@ -422,6 +450,11 @@ def self_attention(x: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor, wk_w: Diff
     sample; otherwise the probabilities are all the backward pass keeps of
     them, with dS = P * (dP - rowsum(dP * P)) as in FlashAttention (Dao et
     al., arXiv 2205.14135) without the tiling.
+
+    The key bias adds q_i . b_k to every score in row i, a shift the softmax
+    ignores, so its gradient is returned as exact zeros. Computed, it would
+    be rounding noise (about 1e-9 in float32), which Adam's normalized step
+    turns into a walk of the bias by nearly the learning rate per step.
     """
     if x.values.ndim != 3:
         raise ValueError("self_attention expects a rank-3 (B, P, d) input")
@@ -435,6 +468,7 @@ def self_attention(x: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor, wk_w: Diff
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
     keep = any(p.requires_grad for p in parents)
+    dt = np.result_type(*(p.values for p in parents))
 
     w_qkv = np.concatenate([wq_w.values * scale, wk_w.values, wv_w.values], axis=1)
     xf = x.values.reshape(n_b * n_p, d)
@@ -442,8 +476,8 @@ def self_attention(x: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor, wk_w: Diff
     qkv += np.concatenate([wq_b.values * scale, wk_b.values, wv_b.values])
     # qkv[n] holds sample n's q, k and v as (heads, P, dh) views
     qkv = qkv.reshape(n_b, n_p, 3, heads, dh).transpose(0, 2, 3, 1, 4)
-    probs = np.empty((n_b if keep else 1, heads, n_p, n_p))
-    merged = np.empty((n_b, n_p, d))
+    probs = np.empty((n_b if keep else 1, heads, n_p, n_p), dtype=dt)
+    merged = np.empty((n_b, n_p, d), dtype=dt)
     for n in range(n_b):
         q, k, v = qkv[n]
         s = probs[n if keep else 0]
@@ -459,7 +493,7 @@ def self_attention(x: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor, wk_w: Diff
     def bw(g):
         gf = g.reshape(n_b * n_p, d)
         dmerged = (gf @ wo_w.values.T).reshape(n_b, n_p, heads, dh)
-        dqkv = np.empty((n_b, n_p, 3, heads, dh))
+        dqkv = np.empty((n_b, n_p, 3, heads, dh), dtype=dt)
         for n in range(n_b):
             q, k, v = qkv[n]
             p = probs[n]
@@ -479,6 +513,9 @@ def self_attention(x: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor, wk_w: Diff
         for inp, dout, w, b in zip((xf, xf, xf, mf), outs, parents[1::2], parents[2::2]):
             grads.append(inp.T @ dout if w.requires_grad else None)
             grads.append(dout.sum(axis=0) if b.requires_grad else None)
+        if wk_b.requires_grad:
+            # exactly zero, so rounding noise cannot walk the key bias
+            grads[4] = np.zeros_like(wk_b.values)
         return grads
 
     return _make(values, parents, bw)
@@ -544,9 +581,10 @@ def backward(loss: DiffTensor) -> None:
     This is the only code that writes ``grad``. Nodes are visited in reverse
     topological order; each node's closure returns its parents' gradients
     (see :func:`_make`), and for every parent that requires grad the first
-    gradient is adopted as its ``grad`` and later ones are added into it in
-    place. A leaf that already holds a ``grad`` from an earlier backward
-    keeps adding into it until :func:`adam_step` or the caller clears it.
+    gradient, cast to the parent's dtype, is adopted as its ``grad`` and
+    later ones are added into it in place. A leaf that already holds a
+    ``grad`` from an earlier backward keeps adding into it until
+    :func:`adam_step` or the caller clears it.
 
     The graph is consumed: an interior node's closure and ``grad`` are
     dropped as soon as its parents have their share, and a second backward
@@ -580,9 +618,10 @@ def backward(loss: DiffTensor) -> None:
             for parent, g in zip(node._parents, node._backward(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
+                # in the parent's dtype; a ufunc over 0-d arrays returns a numpy scalar
+                g = np.asarray(g, dtype=parent.values.dtype)
                 if parent.grad is None:
-                    # a ufunc over 0-d arrays returns a numpy scalar
-                    parent.grad = np.asarray(g)
+                    parent.grad = g
                 else:
                     parent.grad += g
         if node._parents:

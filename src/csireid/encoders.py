@@ -9,6 +9,13 @@ attention is one ``ad.self_attention`` node and whose residual sums and
 layer norms are ``ad.residual_layer_norm`` nodes. A linear head plus l2
 normalization follows. Every parameter lives in one flat dict keyed by its
 checkpoint name, and the forward pass reads it by key.
+
+The encoder computes in float32 and everything else in float64: the
+parameters, their gradients and Adam moments, the state dict, the signature
+head and the signatures. This is master-weight mixed precision ("Mixed
+Precision Training", Micikevicius et al., arXiv 1710.03740); checkpoints
+store float32 values, so a reloaded model's encoder reads exactly the
+float32 weights the saved one read.
 """
 
 from __future__ import annotations
@@ -92,6 +99,11 @@ def signature_tensor(h: ad.DiffTensor, params: dict) -> ad.DiffTensor:
 # -------------------------------------------------------------------- model
 
 
+def _require_batch(x) -> None:
+    if not (isinstance(x, ad.DiffTensor) and x.values.ndim == 3):
+        raise ValueError("input must be a rank-3 (B, P, F) DiffTensor")
+
+
 def _lstm_cells(arch: str, layer: int) -> list[str]:
     """Key prefix of each direction's cell in one (Bi-)LSTM layer."""
     if arch == "bilstm":
@@ -115,6 +127,12 @@ class SignatureModel:
     them as constants that share their arrays, so no backward graph is built
     through the weights; a batch that requires grad still gets its input
     gradient.
+
+    :meth:`signatures` runs the encoder on float32 copies of the batch and
+    of each encoder parameter, made by one ``ad.cast`` per tensor, and casts
+    the pooled (B, enc_dim) output back to float64 for the head. In
+    training those casts are graph nodes, so every parameter's gradient is
+    float64. ``_encode`` computes in whatever dtype it is given.
     """
 
     def __init__(self, cfg: EncoderConfig, n_feat: int, rng: np.random.Generator):
@@ -163,19 +181,23 @@ class SignatureModel:
         return {key: ad.constant(t.values, key) for key, t in self.named.items()}
 
     def signatures(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        """(B, s) unit-norm signatures for a (B, P, F) batch."""
+        """(B, s) unit-norm float64 signatures for a (B, P, F) batch; the
+        encoder runs in float32."""
+        _require_batch(x)
         params = self._read(training)
-        return signature_tensor(self._encode(params, x, training, rng), params)
+        enc = {key: ad.cast(t, np.float32) for key, t in params.items() if not key.startswith("head.")}
+        h = self._encode(enc, ad.cast(x, np.float32), training, rng)
+        return signature_tensor(ad.cast(h, np.float64), params)
 
     def _encode(self, params: dict, x, training: bool, rng) -> ad.DiffTensor:
-        if not (isinstance(x, ad.DiffTensor) and x.values.ndim == 3):
-            raise ValueError("input must be a rank-3 (B, P, F) DiffTensor")
+        _require_batch(x)
         cfg, h = self.cfg, x
         keep = 1.0 - cfg.dropout_pd
         if cfg.arch == "transformer":
             # post-norm blocks over projected inputs plus the position
             # table, with 4 * hidden_d wide feed-forward layers, mean-pooled
-            pos = ad.constant(positional_encoding(h.values.shape[1], cfg.hidden_d))
+            pos = positional_encoding(h.values.shape[1], cfg.hidden_d)
+            pos = ad.constant(pos.astype(h.values.dtype, copy=False))
             h = ad.add(_linear(params, "tf.in", h), pos)
             for i in range(cfg.layers_l):
                 if i:

@@ -12,9 +12,14 @@ at two subcarrier group sizes.
 ``golden.json`` holds two records of the same run:
 
 - ``values``: per recorded array its sum and l2 norm (a loss is stored as
-  itself, signatures row by row), checked on any machine to
-  ``RTOL``/``ATOL``. These bound what a change that keeps the arithmetic
-  may move: rounding in a different BLAS or SIMD path stays far inside them.
+  itself, signatures row by row), checked on any machine. Preprocessing
+  values are held to ``RTOL``/``ATOL``. The encoders compute in float32, so
+  each value of an encoder group is held to ``F32_TOL`` times the largest
+  magnitude in its record, plus ``ATOL``: the sum of a gradient whose
+  entries cancel is rounding noise, and a bound relative to that sum
+  would hold it to its noise. These bound what a change that keeps the
+  arithmetic may move: rounding in a different BLAS or SIMD path stays far
+  inside them.
 - ``digests``: SHA-256 of the exact float64 bytes of each group, and of the
   checkpoint file. They are checked exactly when this machine's numpy, BLAS
   and CPU features match the recorded ``environment``; otherwise the test
@@ -47,6 +52,10 @@ from perfbench.loss import in_batch_softmax_loss
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 RTOL = 1e-7
 ATOL = 1e-9
+# measured: switching the encoders from float64 to float32 moved the encoder
+# groups by at most 2.9e-6 of a record's largest magnitude (the lstm's
+# step-0 gradient of lstm1.w_x), so this leaves a factor of 35 for rounding
+F32_TOL = 1e-4
 
 SEED = 12
 LABELS = np.array([0, 0, 1, 1, 2, 2])
@@ -206,7 +215,11 @@ def run(tmp_path_factory):
 def test_golden_values(golden, run):
     assert sorted(run.values) == sorted(golden["values"])
     for key, want in golden["values"].items():
-        np.testing.assert_allclose(run.values[key], want, rtol=RTOL, atol=ATOL, err_msg=key)
+        if key.split("/")[0] in ARCHES:
+            atol = F32_TOL * np.abs(want).max() + ATOL
+            np.testing.assert_allclose(run.values[key], want, rtol=0, atol=atol, err_msg=key)
+        else:
+            np.testing.assert_allclose(run.values[key], want, rtol=RTOL, atol=ATOL, err_msg=key)
 
 
 def test_golden_digests(golden, run):

@@ -484,6 +484,92 @@ def test_dropout_bad_keep_prob():
         ad.dropout(x, keep_prob=0.0, rng=np.random.default_rng(0), training=True)
 
 
+# ----------------------------------------------------------------- dtypes
+
+
+def test_tensor_keeps_float32_and_float64_and_widens_the_rest():
+    f64 = rand((2, 2), 90)
+    assert ad.constant(f64).values is f64
+    assert ad.constant(f64.astype(np.float32)).values.dtype == np.float32
+    for values in (np.arange(3), np.ones(2, dtype=np.float16), np.array([True]), 1.5):
+        assert ad.constant(values).values.dtype == np.float64
+
+
+# Each case maps float leaves to one output: every op the encoders use, with
+# the shapes it needs. Run on float32 leaves, it must stay float32 in its
+# values and in every gradient it hands back.
+DTYPE_CASES = {
+    "matmul": (((2, 3, 4), (4, 5)), lambda a, b: ad.matmul(a, b)),
+    "add": (((2, 3), (3,)), lambda a, b: ad.add(a, b)),
+    "mul": (((2, 3), (2, 1)), lambda a, b: ad.mul(a, b)),
+    "concat": (((2, 3), (2, 2)), lambda a, b: ad.concat([a, b], axis=1)),
+    "take_slice": (((2, 4, 3),), lambda a: ad.take_slice(a, (slice(None), -1))),
+    "transpose": (((2, 3),), lambda a: ad.transpose(a, (1, 0))),
+    "mean_axis": (((2, 3),), lambda a: ad.mean_axis(a, axis=1)),
+    "rectifier": (((2, 3),), lambda a: ad.rectifier(a)),
+    "log": (((2, 3),), lambda a: ad.log(ad.mul(a, a))),
+    "softmax_axis": (((2, 3),), lambda a: ad.softmax_axis(a, axis=1)),
+    "dropout": (((4, 5),), lambda a: ad.dropout(a, 0.6, np.random.default_rng(91), True)),
+    "l2_normalize_axis": (((2, 3),), lambda a: ad.l2_normalize_axis(a, axis=1)),
+    "lstm_sequence": (
+        ((2, 4, 3), (3, 8), (2, 8), (8,), (3, 8), (2, 8), (8,)),
+        lambda x, *w: ad.lstm_sequence(x, list(w[0::3]), list(w[1::3]), list(w[2::3]), [False, True]),
+    ),
+    "self_attention": (
+        ((2, 3, 4), *[(4, 4), (4,)] * 4),
+        lambda *ts: ad.self_attention(*ts, heads=2),
+    ),
+    "residual_layer_norm": (((2, 3), (2, 3), (3,), (3,)), lambda *ts: ad.residual_layer_norm(*ts)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(DTYPE_CASES))
+def test_ops_compute_in_their_inputs_dtype(op):
+    shapes, build = DTYPE_CASES[op]
+    results = {}
+    for dtype in (np.float64, np.float32):
+        leaves = [ad.parameter(rand(s, 92 + i).astype(dtype)) for i, s in enumerate(shapes)]
+        # what the op itself returns, before backward casts anything
+        out = build(*leaves)
+        assert out.values.dtype == dtype
+        for g in out._backward(np.ones_like(out.values)):
+            assert g is None or np.asarray(g).dtype == dtype
+        out = build(*leaves)
+        ad.backward(weighted_sum(out))
+        results[dtype] = out.values, [t.grad for t in leaves]
+    (v64, g64), (v32, g32) = results[np.float64], results[np.float32]
+    np.testing.assert_allclose(v32, v64, rtol=1e-5, atol=1e-6)
+    for a, b in zip(g32, g64):
+        np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
+
+
+def test_backward_casts_gradients_to_each_parents_dtype():
+    # a float64 constant promotes a float32 product; the float32 leaf still
+    # gets a float32 gradient, adopted first and then added into
+    x = ad.parameter(rand((2, 3), 93).astype(np.float32))
+    y = ad.mul(x, ad.constant(np.array(2.0)))
+    assert y.values.dtype == np.float64
+    ad.backward(weighted_sum(ad.add(y, x)))
+    assert x.grad.dtype == np.float32
+    np.testing.assert_allclose(x.grad, 3.0 * rand((2, 3), 100), rtol=1e-6)
+
+
+def test_cast_values_and_gradient():
+    x = ad.parameter(rand((2, 3), 94))
+    y = ad.cast(x, np.float32)
+    assert y.values.dtype == np.float32
+    np.testing.assert_array_equal(y.values, x.values.astype(np.float32))
+    w = rand((2, 3), 95).astype(np.float32)
+    ad.backward(sum_all(ad.mul(y, ad.constant(w))))
+    assert x.grad.dtype == np.float64
+    np.testing.assert_array_equal(x.grad, w)
+    # float64 to float64 is exact, so the gradient check holds at its usual bound
+    z = ad.parameter(rand((3,), 96))
+    assert ad.grad_check(lambda t: weighted_sum(ad.cast(t, np.float64)), z) < TOL
+    with pytest.raises(ValueError, match="float32 or float64"):
+        ad.cast(x, np.int32)
+
+
 # ------------------------------------------------------------------- adam
 
 

@@ -1,6 +1,11 @@
-"""The pair-runner's summary, on fabricated run verdicts (no benchmark runs)."""
+"""The pair-runner's summary and stages block, on fabricated run verdicts,
+and its handling of a run that prints no verdict (no benchmark runs)."""
 
-from tools.bench_pairs import end_to_end_directions, summarize
+import textwrap
+
+import pytest
+
+from tools.bench_pairs import end_to_end_directions, run_once, stages, summarize
 
 
 def verdict(correct=True, **values):
@@ -33,3 +38,73 @@ def test_directions_cover_the_benchmarks_end_to_end_metrics():
         "items_per_s": "higher", "op_p50_ms": "lower", "op_tail_ms": "lower",
         "peak_rss_mb": "lower", "setup_s": "lower",
     }
+
+
+def test_stages_are_median_self_seconds_per_operation():
+    # three traced train runs: backward's calls count the operations
+    runs = [
+        {"backward": (100, 5.0), "forward": 4.0, "adam": 1.0, "p50": 90.0},
+        {"backward": (80, 4.8), "forward": 4.0, "adam": 0.4, "p50": 80.0},
+        {"backward": (50, 2.0), "forward": 3.0, "adam": 0.5, "p50": 85.0},
+    ]
+    traced = [
+        verdict(**{
+            "autodiff.backward.calls": r["backward"][0],
+            "autodiff.backward.s": r["backward"][1],
+            "encoders.signatures.train.s": r["forward"],
+            "autodiff.adam_step.s": r["adam"],
+            "augment.apply_policy.s": 0.5,
+            "bench.loss.s": 0.0,
+            "trace.op_p50_ms": r["p50"],
+        })
+        for r in runs
+    ]
+    out = stages(traced, "train")
+    assert out["traced_steps"] == [100, 80, 50]
+    # per run backward 0.05, 0.06, 0.04; forward 0.04, 0.05, 0.06; adam 0.01, 0.005, 0.01
+    assert out["stages"] == {
+        "augment.apply_policy": 0.00625,
+        "encoders.signatures.train": 0.05,
+        "bench.loss": 0.0,
+        "autodiff.backward": 0.05,
+        "autodiff.adam_step": 0.01,
+    }
+    assert out["trace_op_p50_ms"] == 85.0
+
+
+def stub_checkout(root, body):
+    """A directory whose perfbench/run.py is ``body``."""
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(textwrap.dedent(body))
+    return str(root)
+
+
+def test_run_without_a_verdict_names_checkout_seed_and_stderr(tmp_path):
+    checkout = stub_checkout(tmp_path, """
+        import sys
+        print("Traceback (most recent call last):", file=sys.stderr)
+        print("ValueError: stub failure", file=sys.stderr)
+        print("peak RSS after corpus generation = 43 MB")
+        sys.exit(1)
+    """)
+    with pytest.raises(RuntimeError) as err:
+        run_once(checkout, "train", 207, 1.0)
+    message = str(err.value)
+    assert checkout in message and "seed 207" in message and "exit 1" in message
+    assert message.endswith("ValueError: stub failure")
+    # a JSON last line that is not a verdict is no verdict either
+    (tmp_path / "perfbench" / "run.py").write_text('print("[1, 2]")\n')
+    with pytest.raises(RuntimeError, match="seed 208"):
+        run_once(checkout, "train", 208, 1.0)
+
+
+def test_run_returns_the_last_line_verdict(tmp_path):
+    checkout = stub_checkout(tmp_path, """
+        import json, sys
+        print("items_per_s = 1")
+        print(json.dumps({"correct": True, "metrics": {"argv": {"value": sys.argv[1:], "unit": ""}}}))
+    """)
+    out = run_once(checkout, "identify", 5, 2.0, trace=1)
+    assert out["metrics"]["argv"]["value"] == [
+        "--workload", "identify", "--seed", "5", "--seconds", "2.0", "--trace", "1",
+    ]

@@ -45,6 +45,12 @@ def encode(model, x, training=False, rng=None):
     return model._encode(model._read(training), x, training, rng)
 
 
+def signatures64(model, x):
+    """Eval ``model.signatures`` with the encoder run in float64, not float32."""
+    params = model._read(False)
+    return signature_tensor(model._encode(params, x, False, None), params)
+
+
 def encoder_params(model):
     """Every parameter except the signature head's."""
     return [t for key, t in model.named.items() if not key.startswith("head.")]
@@ -338,16 +344,15 @@ def test_lstm_sequence_matches_oracle(arch, layers_l, b, p):
     assert_same_run(got, want)
 
 
-def graph_nodes(root: ad.DiffTensor) -> int:
-    """Nodes reachable from ``root`` through the autodiff parent links."""
-    seen = {id(root)}
-    stack = [root]
+def graph_of(root: ad.DiffTensor) -> list[ad.DiffTensor]:
+    """Every node reachable from ``root`` through the autodiff parent links."""
+    seen, stack = {id(root): root}, [root]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
 
 
 def in_batch_loss(sigs: ad.DiffTensor, labels: np.ndarray) -> ad.DiffTensor:
@@ -370,7 +375,7 @@ def test_bilstm_graph_size_independent_of_packets():
     counts = []
     for p in (5, 50):
         x = ad.constant(np.random.default_rng(p).normal(size=(4, p, 3)))
-        counts.append(graph_nodes(in_batch_loss(model.signatures(x, training=True), labels)))
+        counts.append(len(graph_of(in_batch_loss(model.signatures(x, training=True), labels))))
     assert counts[0] == counts[1] < 40
 
 
@@ -457,7 +462,7 @@ def test_transformer_checkpoint_layout_unchanged(tmp_path):
     x = ad.constant(np.random.default_rng(60).normal(size=(3, 5, 3)))
     frozen = {k: ad.constant(v) for k, v in state.items()}
     want = signature_tensor(transformer_encode(x, frozen, 2, 3), frozen)
-    np.testing.assert_allclose(model.signatures(x).values, want.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(signatures64(model, x).values, want.values, rtol=0, atol=1e-12)
 
 
 def test_transformer_two_layer_train_mode_runs():
@@ -627,7 +632,7 @@ def test_end_to_end_input_gradient_all_archs():
         x = ad.parameter(np.random.default_rng(30).normal(size=(2, 3, 3)))
 
         def f(t):
-            out = model.signatures(t)
+            out = signatures64(model, t)
             w = ad.constant(np.random.default_rng(31).normal(size=out.values.shape))
             return sum_all(ad.mul(out, w))
 
@@ -671,6 +676,81 @@ def test_eval_input_gradient_matches_training_mode(arch):
             assert all(p.grad is None for p in model.params)
     np.testing.assert_array_equal(grads[0], grads[1])
     assert np.abs(grads[0]).max() > 0
+
+
+# ---------------------------------------------------------- mixed precision
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_signatures_encoder_graph_is_float32(arch):
+    # between the input and parameter casts and the head's cast back, every
+    # node is float32: no float64 constant or buffer promotes the encoder
+    model = build_model(tiny_cfg(arch, layers_l=2, dropout_pd=0.2), n_feat=3, seed=61)
+    x = ad.constant(np.random.default_rng(62).normal(size=(4, 5, 3)))
+    sig = model.signatures(x, training=True, rng=np.random.default_rng(63))
+    head_add = sig._parents[0]
+    head_matmul = head_add._parents[0]
+    to64 = head_matmul._parents[0]
+    head = {id(sig), id(head_add), id(head_matmul), id(to64)}
+    params = {id(p) for p in model.params}
+    nodes = graph_of(sig)
+    for node in nodes:
+        want = np.float64 if id(node) in head | params else np.float32
+        assert node.values.dtype == want, node
+        # an encoder parameter is read only through its own cast node
+        for parent in node._parents:
+            if id(parent) in params and not parent.name.startswith("head."):
+                assert node._parents == (parent,) and node.values.dtype == np.float32
+    assert params <= {id(n) for n in nodes}
+    ad.backward(in_batch_loss(sig, np.array([0, 0, 1, 1])))
+    for p in model.params:
+        assert p.grad is not None and p.grad.dtype == np.float64, p.name
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_checkpoint_reload_reproduces_signatures_exactly(arch, tmp_path):
+    # the encoder reads f32(w) before a checkpoint and f32(f64(f32(w))) ==
+    # f32(w) after it, so only the float64 head's rounding can move a
+    # reloaded model's signatures; with a head already in f32 nothing does
+    cfg = tiny_cfg(arch, layers_l=2)
+    model = build_model(cfg, n_feat=3, seed=64)
+    for key in ("head.w", "head.b"):
+        values = model.named[key].values
+        values[...] = values.astype(np.float32)
+    assert any(
+        not np.array_equal(t.values, t.values.astype(np.float32)) for t in encoder_params(model)
+    )
+    path = tmp_path / f"{arch}.ckpt"
+    ad.write_tensor_file(path, model.state_dict())
+    reloaded = build_model(cfg, n_feat=3, seed=65)
+    reloaded.load_state_dict(ad.read_tensor_file(path))
+    x = ad.constant(np.random.default_rng(66).normal(size=(3, 5, 3)))
+    gap = np.abs(model.signatures(x).values - reloaded.signatures(x).values).max()
+    assert gap == 0.0
+
+
+# over 20 seeds at this size the float32 path stayed within 5.2e-7 of the
+# float64 one in signatures and 1.6e-6, relative to the largest entry, in
+# the input gradient; float32 rounds at 6e-8
+F32_SIGNATURE_TOL = 1e-5
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+def test_float32_signatures_track_float64(arch):
+    model = build_model(tiny_cfg(arch, layers_l=2), n_feat=3, seed=67)
+    data = np.random.default_rng(68).normal(size=(3, 6, 3))
+    w = ad.constant(np.random.default_rng(69).normal(size=(3, 3)))
+    got, grads = [], []
+    for fn in (model.signatures, lambda t: signatures64(model, t)):
+        x = ad.parameter(data)
+        sig = fn(x)
+        ad.backward(sum_all(ad.mul(sig, w)))
+        got.append(sig.values)
+        grads.append(x.grad)
+    assert got[0].dtype == grads[0].dtype == np.float64
+    np.testing.assert_allclose(got[0], got[1], rtol=0, atol=F32_SIGNATURE_TOL)
+    scale = np.abs(grads[1]).max()
+    np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=F32_SIGNATURE_TOL * scale)
 
 
 def test_config_validation():

@@ -7,14 +7,19 @@ From the repository root:
 
 Pair k runs ``perfbench/run.py --trace 0`` with seed ``first_seed + k`` in
 each checkout, the parent first in even pairs and the change first in odd
-ones, so a drift in the speed of the machine falls on both sides.
-Both checkouts must sit at paths of equal length, since peak RSS can move
-with the length of the checkout's path alone.
+ones, so a drift in the speed of the machine falls on both sides. Then
+``TRACED_RUNS`` traced runs (``--trace 1``) per side follow, with the next
+seeds, alternating in the same way. Both checkouts must sit at paths
+of equal length, since peak RSS can move with the length of the
+checkout's path alone.
 
-The output is the end-to-end part of a ``BENCH_<pr>.json`` file: per side,
-each metric's median, its per-run list in pair order and its quartiles,
-and per metric the number of pairs the change won, by the direction
-``BENCHMARK.json`` declares; a tie counts for neither side.
+The output is the measured part of a ``BENCH_<pr>.json`` file. Per side:
+the ``stages`` block, each stage's self seconds per operation as the
+median over the traced runs, with ``traced_steps`` (operations counted
+per traced run) and ``trace_op_p50_ms``; then each end-to-end metric's
+median, its per-run list in pair order and its quartiles. Per metric, the
+number of pairs the change won, by the direction ``BENCHMARK.json``
+declares; a tie counts for neither side.
 """
 
 from __future__ import annotations
@@ -29,6 +34,25 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+STDERR_TAIL_LINES = 20
+TRACED_RUNS = 3
+# per workload: the span called once per operation (timed, or a set-up
+# warm-up), whose calls count the operations, and the spans reported per
+# operation; each stage's total self time over a run is divided by that count
+STAGES = {
+    "ingest": ("preprocess.hampel_filter", (
+        "csi_core.read_sample", "preprocess.amplitude_from_complex", "preprocess.hampel_filter",
+        "preprocess.phase_from_complex", "preprocess.sanitize_phase", "csi_core.write_sample",
+    )),
+    "train": ("autodiff.backward", (
+        "augment.apply_policy", "encoders.signatures.train", "bench.loss", "autodiff.backward",
+        "autodiff.adam_step",
+    )),
+    "identify": ("preprocess.hampel_filter", (
+        "preprocess.amplitude_from_complex", "preprocess.hampel_filter",
+        "preprocess.resample_packets", "preprocess.standardize_features",
+    )),
+}
 
 
 def end_to_end_directions() -> dict[str, str]:
@@ -37,15 +61,46 @@ def end_to_end_directions() -> dict[str, str]:
         return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run; its last stdout line is the benchmark's JSON verdict."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One run; its last stdout line is the benchmark's JSON verdict.
+
+    A run whose last line is not a verdict raises RuntimeError naming the
+    checkout, the seed and the end of the run's stderr.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: no output from {' '.join(cmd)}:\n{out.stderr}")
-    return json.loads(lines[-1])
+    try:
+        verdict = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        verdict = None
+    if not (isinstance(verdict, dict) and "metrics" in verdict):
+        tail = "\n".join(out.stderr.strip().splitlines()[-STDERR_TAIL_LINES:])
+        raise RuntimeError(
+            f"{checkout}: seed {seed}: no JSON verdict on the last line of {' '.join(cmd)} "
+            f"(exit {out.returncode}); stderr ends:\n{tail}"
+        )
+    return verdict
+
+
+def stages(traced: list[dict], workload: str) -> dict:
+    """The ``stages`` block of one side from its traced runs' verdicts.
+
+    A stage's figure is its self seconds per operation, the median over the
+    runs; ``traced_steps`` lists each run's operation count and
+    ``trace_op_p50_ms`` is the median of the runs' traced op_p50.
+    """
+    counter, names = STAGES[workload]
+    steps = [run["metrics"][f"{counter}.calls"]["value"] for run in traced]
+    per_op = {
+        name: round(float(np.median([
+            run["metrics"][f"{name}.s"]["value"] / n for run, n in zip(traced, steps)
+        ])), 5)
+        for name in names
+    }
+    p50 = np.median([run["metrics"]["trace.op_p50_ms"]["value"] for run in traced])
+    return {"stages": per_op, "traced_steps": steps, "trace_op_p50_ms": round(float(p50), 5)}
 
 
 def summarize(pairs: list[dict[str, dict]], better: dict[str, str]) -> dict:
@@ -99,15 +154,26 @@ def main(argv=None) -> int:
         print(f"pair {k + 1}/{args.pairs} seed {seed}: " + " ".join(
             f"{side} {pair[side]['metrics']['op_p50_ms']['value']} ms" for side in SIDES
         ), file=sys.stderr)
+    traced = {side: [] for side in SIDES}
+    first_traced = args.first_seed + args.pairs
+    for k in range(TRACED_RUNS):
+        seed = first_traced + k
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            traced[side].append(run_once(dirs[side], args.workload, seed, args.seconds, trace=1))
+        print(f"traced run {k + 1}/{TRACED_RUNS} seed {seed}", file=sys.stderr)
     seeds = f"{args.first_seed}-{args.first_seed + args.pairs - 1}"
-    summary = {
-        "workload": args.workload,
-        "method": (
-            f"medians of {args.pairs} untraced runs per side, seeds {seeds}, "
-            f"--seconds {args.seconds:g}, parent and change alternating which runs first"
-        ),
-        **summarize(pairs, end_to_end_directions()),
-    }
+    method = (
+        f"stages: self seconds per operation, the median over {TRACED_RUNS} traced runs per side "
+        f"(--trace 1, seeds {first_traced}-{first_traced + TRACED_RUNS - 1}, sides alternating "
+        f"which runs first), each stage's total over a run divided by that run's traced_steps, "
+        f"its {STAGES[args.workload][0]} calls (timed operations plus set-up warm-ups); "
+        f"trace_op_p50_ms is the median of the traced runs' op_p50. End-to-end figures: medians "
+        f"of {args.pairs} untraced runs per side, seeds {seeds}, --seconds {args.seconds:g}, "
+        f"parent and change alternating which runs first"
+    )
+    summary = {"workload": args.workload, "method": method, **summarize(pairs, end_to_end_directions())}
+    for side in SIDES:
+        summary[side] = {**stages(traced[side], args.workload), **summary[side]}
     text = json.dumps(summary, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
