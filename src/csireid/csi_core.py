@@ -116,7 +116,9 @@ class SampleRecord:
     ``dims`` keeps the originating (rx, tx, subcarrier, packet) counts even
     for flattened feature payloads, so subcarrier grouping stays
     reconstructible after preprocessing. When omitted it is derived from the
-    payload (feature payloads default to a single antenna pair).
+    payload (feature payloads default to a single antenna pair). Each entry
+    must be an integer in [1, 2**32), since the file header stores it as a
+    u32 and a zero count cannot describe a payload.
     """
 
     subject_id: int
@@ -134,6 +136,13 @@ class SampleRecord:
             raise ValueError("subject_id must be >= 0")
         if self.subject_id >= 2**32:
             raise ValueError("subject_id must be < 2**32")
+        if self.dims is not None:
+            try:
+                self.dims = tuple(operator.index(d) for d in self.dims)
+            except TypeError:
+                raise ValueError(f"dims must be integers, got {self.dims!r}") from None
+            if len(self.dims) != 4 or not all(1 <= d < 2**32 for d in self.dims):
+                raise ValueError(f"dims must be 4 integers in [1, 2**32), got {self.dims!r}")
         self.scenario = Scenario(self.scenario)
         self.payload_kind = PayloadKind(self.payload_kind)
         if self.payload_kind == PayloadKind.COMPLEX:

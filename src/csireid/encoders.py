@@ -31,6 +31,14 @@ ARCHES = ("lstm", "bilstm", "transformer")
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Encoder architecture and sizes.
+
+    ``dropout_pd`` is the drop probability of the dropout that ``_encode``
+    applies between stacked layers, the only place it runs, so at
+    ``layers_l = 1`` (the default, and every benchmark configuration) it has
+    no effect.
+    """
+
     arch: str = "transformer"
     layers_l: int = 1
     hidden_d: int = 128

@@ -9,14 +9,15 @@ capture's (rx, tx, subcarrier) entries become feature columns antenna-pair
 major, subcarrier minor: entry (r, t, s) lands in column
 (r * n_tx + t) * n_sub + s. The phase is written in that order directly,
 with +0.0 for each zero entry, and sanitized in one subcarrier-major work
-array, with exactly zero endpoint residuals. Sanitization has no settings:
-the subcarrier index is the centered m_k = k - (K-1)/2.
+array, with exactly zero endpoint residuals. Neither filter has settings:
+Hampel filtering runs at ``HAMPEL_WINDOW`` and ``HAMPEL_XI``, and the
+sanitization's subcarrier index is the centered m_k = k - (K-1)/2.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,28 +25,25 @@ from csireid.csi_core import ComplexCsiTensor, FeatureSequence
 
 log = logging.getLogger(__name__)
 
-# Packets per block of the interior Hampel pass. A block's lane buffers, at
-# most w + 3 of (block, n_feat) float64, stay cache-resident at the default
-# window.
+# The Hampel filter's one setting: a window of 5 packets, and outliers
+# farther than 3 MADs from the window median.
+HAMPEL_WINDOW = 5
+HAMPEL_XI = 3.0
+# Packets per block of the interior Hampel pass. A block's seven
+# (block, n_feat) float64 buffers stay cache-resident.
 HAMPEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class HampelConfig:
-    """Sliding-window outlier filter settings.
+    """The Hampel filter's fixed setting, ``HAMPEL_WINDOW`` and ``HAMPEL_XI``.
 
-    A value farther than ``xi`` times the window MAD from the window median
-    is replaced by that median.
+    Neither field can be set: ``hampel_filter`` always runs at this one
+    setting, and the class only names it for callers that read it.
     """
 
-    window_w: int = 5
-    xi: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.window_w < 3 or self.window_w % 2 == 0:
-            raise ValueError("window_w must be odd and >= 3")
-        if not self.xi > 0:
-            raise ValueError("xi must be > 0")
+    window_w: int = field(default=HAMPEL_WINDOW, init=False)
+    xi: float = field(default=HAMPEL_XI, init=False)
 
 
 def amplitude_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
@@ -83,121 +81,72 @@ def phase_from_complex(csi: ComplexCsiTensor) -> FeatureSequence:
     return FeatureSequence(csi.n_pkt, csi.n_feat, ang.reshape(csi.n_pkt, csi.n_feat))
 
 
-# Devillard's opt_med5, "Fast median search: an ANSI C implementation"
-# (1998), from Paeth's networks (Graphics Gems, 1990): 7 compare-exchanges
-# of which lane 2 ends up the median of five.
-_MED5 = ((0, 1), (3, 4), (0, 3), (1, 4), (1, 2), (2, 3), (1, 2))
+def _median5(r0, r1, r2, r3, r4, a, b, c, d):
+    """Write the elementwise median of r0..r4 to ``b`` and return it.
 
-
-def _middle_lane_network(n: int) -> list[tuple[int, int, bool, bool]]:
-    """A min/max network on n lanes, pruned to the middle lane.
-
-    For n = 5 it is ``_MED5``; otherwise the odd-even transposition network.
-    Returns the compare-exchanges of lanes (i, j), i < j, in execution order
-    as (i, j, keep_min, keep_max). An output that neither the middle lane nor
-    a later step reads is not computed; a step with no such output is
-    dropped.
+    Devillard's opt_med5, "Fast median search: an ANSI C implementation"
+    (1998), from Paeth's networks (Graphics Gems, 1990), pruned to the lane
+    it returns: 10 np.minimum/np.maximum calls, each pair's maximum before
+    its minimum. ``a``, ``c`` and ``d`` are scratch. ``a`` may be ``r0``,
+    ``c`` may be ``r3`` and ``d`` may be ``r1``, which are then overwritten;
+    ``r2`` is only read. Every call stores the minimum or maximum of two
+    values, so each result element is one of the inputs, bit for bit.
     """
-    if n == 5:
-        steps = _MED5
-    else:
-        steps = [(i, i + 1) for r in range(n) for i in range(r % 2, n - 1, 2)]
-    live = {n // 2}
-    kept = []
-    for i, j in reversed(steps):
-        lo, hi = i in live, j in live
-        if lo or hi:
-            kept.append((i, j, lo, hi))
-            live |= {i, j}
-    return kept[::-1]
+    np.maximum(r0, r1, out=b)
+    np.minimum(r0, r1, out=a)
+    np.maximum(r3, r4, out=d)
+    np.minimum(r3, r4, out=c)
+    np.maximum(a, c, out=c)
+    np.minimum(b, d, out=b)
+    np.maximum(b, r2, out=d)
+    np.minimum(b, r2, out=b)
+    np.minimum(d, c, out=d)
+    np.maximum(b, d, out=b)
+    return b
 
 
-def _select_middle(
-    lanes: list[np.ndarray],
-    owned: list[bool],
-    free: list[np.ndarray],
-    network: list[tuple[int, int, bool, bool]],
-) -> np.ndarray:
-    """Run ``network`` over ``lanes`` and return the middle lane.
-
-    A lane with ``owned`` false is read-only: a row of the input, or a value
-    the caller still needs. A compare-exchange writes each kept output into
-    an owned input it replaces or into a buffer taken from ``free``, and puts
-    each owned buffer it no longer needs back there, so on return ``free``
-    holds every owned buffer but the result. Every step stores
-    np.minimum/np.maximum of two lanes, so each output element is one of the
-    input elements, bit for bit.
-    """
-    lanes, owned = list(lanes), list(owned)
-    for i, j, lo, hi in network:
-        a, b = lanes[i], lanes[j]
-        mn = mx = None
-        if lo:
-            # with both outputs kept, the maximum still reads a after this
-            mn = a if owned[i] and not hi else free.pop()
-            np.minimum(a, b, out=mn)
-        if hi:
-            mx = b if owned[j] else free.pop()
-            np.maximum(a, b, out=mx)
-        if owned[i] and mn is not a:
-            free.append(a)
-        if owned[j] and mx is not b:
-            free.append(b)
-        if lo:
-            lanes[i], owned[i] = mn, True
-        if hi:
-            lanes[j], owned[j] = mx, True
-    return lanes[len(lanes) // 2]
-
-
-def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> FeatureSequence:
+def hampel_filter(seq: FeatureSequence) -> FeatureSequence:
     """Replace window outliers with the window median, per feature column.
 
-    Windows are centered on each packet and truncated at the sequence
-    boundaries; every window statistic is computed from the original values,
-    so earlier replacements never feed later windows.
+    Windows of ``HAMPEL_WINDOW`` packets are centered on each packet and
+    truncated at the sequence boundaries; every window statistic is computed
+    from the original values, so earlier replacements never feed later
+    windows. A value farther than ``HAMPEL_XI`` times the window MAD from the
+    window median is replaced by that median.
 
-    Full windows have odd length w, so their median is one window value and
-    their MAD is one of the values |x - median|. They are taken, a block of
-    ``HAMPEL_BLOCK`` packets at a time, from the middle lane of a min/max
-    network over the w shifted rows: Devillard's median-of-5 network for
-    w = 5, the default, and an odd-even transposition network otherwise,
-    each pruned to the middle lane. The first steps read the rows in place,
-    and the MAD network keeps the centre row's deviation, which the outlier
-    test reads next. The network only compare-exchanges, so it moves values
-    without rounding any, and the MAD network runs on the same |x - median|
-    values a sort-based median would see. The result therefore equals
-    ``np.median`` over each window bit for bit, without window-sized copies
-    of the sequence; the one freedom is which of 0.0 and -0.0 a window
-    holding both returns, which no sort fixes either. The 2 * (w // 2)
-    truncated boundary windows have even or short lengths and use
-    ``np.median``.
+    Full windows hold five values, so their median is one window value and
+    their MAD is one of the values |x - median|. Both come from ``_median5``
+    over the five shifted rows, a block of ``HAMPEL_BLOCK`` packets at a
+    time: the median reads the rows in place, and the MAD overwrites the
+    deviations but keeps the centre row's, which the outlier test reads
+    next. The network only compare-exchanges, so it moves values without
+    rounding any, and the MAD runs on the same |x - median| values a
+    sort-based median would see. The result therefore equals ``np.median``
+    over each window bit for bit, without window-sized copies of the
+    sequence; the one freedom is which of 0.0 and -0.0 a window holding both
+    returns, which no sort fixes either. The four truncated boundary windows
+    have even or short lengths and use ``np.median``.
     """
-    cfg = cfg or HampelConfig()
     x = seq.data
-    w = cfg.window_w
-    half = w // 2
+    half = HAMPEL_WINDOW // 2
     p = seq.n_pkt
     out = x.copy()
-    if p >= w:
-        network = _middle_lane_network(w)
+    if p >= HAMPEL_WINDOW:
         block = min(HAMPEL_BLOCK, p - 2 * half)
-        # each network holds at most w + 1 buffers at once; the MAD network
-        # runs beside the median and the centre row's deviation
-        bufs = [np.empty((block, seq.n_feat)) for _ in range(w + 3)]
+        bufs = [np.empty((block, seq.n_feat)) for _ in range(7)]
         mask = np.empty((block, seq.n_feat), dtype=bool)
         for r0 in range(half, p - half, block):
             nb = min(block, p - half - r0)
-            rows = [x[r0 - half + k : r0 - half + k + nb] for k in range(w)]
-            free = [b[:nb] for b in bufs]
-            med = _select_middle(rows, [False] * w, free, network)
-            dev = [free.pop() for _ in range(w)]
+            rows = [x[r0 - half + k : r0 - half + k + nb] for k in range(HAMPEL_WINDOW)]
+            med, mad, *dev = (b[:nb] for b in bufs)
+            # deviations 0, 3 and 1 are the median pass's scratch, and the
+            # MAD pass overwrites them in place; deviation 2 stays whole
+            _median5(*rows, dev[0], med, dev[3], dev[1])
             for d, row in zip(dev, rows):
                 np.subtract(row, med, out=d)
                 np.abs(d, out=d)
-            owned = [k != half for k in range(w)]
-            mad = _select_middle(dev, owned, free, network)
-            np.multiply(mad, cfg.xi, out=mad)
+            _median5(*dev, dev[0], mad, dev[3], dev[1])
+            np.multiply(mad, HAMPEL_XI, out=mad)
             np.greater(dev[half], mad, out=mask[:nb])
             np.copyto(out[r0 : r0 + nb], med, where=mask[:nb])
         edges = [*range(half), *range(p - half, p)]
@@ -207,7 +156,7 @@ def hampel_filter(seq: FeatureSequence, cfg: HampelConfig | None = None) -> Feat
         win = x[max(0, i - half) : min(p, i + half + 1)]
         med = np.median(win, axis=0)
         mad = np.median(np.abs(win - med), axis=0)
-        outlier = np.abs(x[i] - med) > cfg.xi * mad
+        outlier = np.abs(x[i] - med) > HAMPEL_XI * mad
         out[i, outlier] = med[outlier]
     return FeatureSequence(seq.n_pkt, seq.n_feat, out)
 

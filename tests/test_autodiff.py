@@ -543,6 +543,38 @@ def test_ops_compute_in_their_inputs_dtype(op):
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
 
 
+class Float64Spy:
+    """Stands in for numpy inside autodiff; fails on any float64 array a call returns."""
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            for a in out if isinstance(out, (list, tuple)) else (out,):
+                made64 = isinstance(a, np.ndarray) and a.dtype == np.float64
+                assert not made64, f"np.{name} made float64"
+            return out
+
+        return call
+
+
+@pytest.mark.parametrize("op", ["lstm_sequence", "residual_layer_norm", "self_attention"])
+def test_fused_ops_make_no_float64_work_arrays_from_float32(op, monkeypatch):
+    # numpy casts a float64 product into a float32 out= buffer without a
+    # word, so a float64 work array inside a fused op leaves its output and
+    # gradient dtypes float32; only the calls that made it can show it
+    shapes, build = DTYPE_CASES[op]
+    leaves = [ad.parameter(rand(s, 92 + i).astype(np.float32)) for i, s in enumerate(shapes)]
+    monkeypatch.setattr(ad, "np", Float64Spy())
+    out = build(*leaves)
+    grads = out._backward(np.ones_like(out.values))
+    assert out.values.dtype == np.float32
+    assert all(g is None or g.dtype == np.float32 for g in grads)
+
+
 def test_backward_casts_gradients_to_each_parents_dtype():
     # a float64 constant promotes a float32 product; the float32 leaf still
     # gets a float32 gradient, adopted first and then added into

@@ -432,6 +432,24 @@ def test_record_dims_mismatch_rejected():
         SampleRecord(0, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE, dims=(1, 1, 5, 4))
 
 
+def test_record_dims_must_be_positive_integers():
+    # both products match the payload's 4 features, so only the entry check
+    # stops them: -1 used to fail at write time with a bare struct.error, and
+    # 0.5 was truncated to 0 and written as a file read_sample rejects
+    seq = FeatureSequence(2, 4, np.zeros((2, 4)))
+    for bad in ((-1, -1, 4, 2), (1, 1, 4, 2**32), (1, 4, 2)):
+        with pytest.raises(ValueError, match=r"dims must be 4 integers in \[1, 2\*\*32\)"):
+            SampleRecord(0, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE, dims=bad)
+
+
+def test_record_dims_must_be_integers():
+    seq = FeatureSequence(2, 4, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="dims must be integers"):
+        SampleRecord(0, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE, dims=(0.5, 2, 4, 2))
+    rec = SampleRecord(0, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE, dims=np.array([1, 1, 4, 2]))
+    assert rec.dims == (1, 1, 4, 2) and all(type(d) is int for d in rec.dims)
+
+
 def test_sample_record_rejects_subject_id_over_u32(tmp_path):
     seq = FeatureSequence(2, 2, np.zeros((2, 2)))
     largest = SampleRecord(2**32 - 1, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE)

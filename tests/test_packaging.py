@@ -101,7 +101,7 @@ def test_benchmark_keywords_accepted():
 CONFIG_FIELDS = {
     ad.AdamState: ("lr",),
     aug.AugmentPolicy: ("rng_seed",),
-    pre.HampelConfig: ("window_w", "xi"),
+    pre.HampelConfig: (),  # fixed at HAMPEL_WINDOW and HAMPEL_XI
     ad.StepDecaySchedule: ("base_lr", "gamma", "step_epochs"),
     EncoderConfig: ("arch", "layers_l", "hidden_d", "heads", "dropout_pd", "signature_dim_s"),
 }
