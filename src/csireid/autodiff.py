@@ -61,8 +61,9 @@ _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 class DiffTensor:
     """A float32 or float64 array plus its gradient and graph linkage.
 
-    Values of another dtype (integers, booleans, float16) are widened to
-    float64. ``grad``, once set, has the dtype of ``values``.
+    Values of another real dtype (integers, booleans, float16) are widened
+    to float64; any other dtype, complex included, raises ValueError.
+    ``grad``, once set, has the dtype of ``values``.
 
     ``grad`` is written only by :func:`backward`, which owns the array it
     holds; :func:`adam_step` reads and clears it. Graphs are single-use:
@@ -74,6 +75,8 @@ class DiffTensor:
 
     def __init__(self, values, requires_grad: bool = False, name: str = ""):
         values = np.asarray(values)
+        if values.dtype not in _FLOATS and values.dtype.kind not in "biuf":
+            raise ValueError(f"DiffTensor values must be real numbers, got dtype {values.dtype}")
         self.values = values if values.dtype in _FLOATS else values.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -209,7 +212,11 @@ def concat(tensors: list[DiffTensor], axis: int) -> DiffTensor:
 
 
 def take_slice(a: DiffTensor, index) -> DiffTensor:
-    """Basic indexing (ints and slices); gradient scatters back into place."""
+    """Basic indexing by ints and slices; gradient scatters back into place.
+    Any other entry raises ValueError, since an index array may repeat a position."""
+    for entry in index if isinstance(index, tuple) else (index,):
+        if isinstance(entry, bool) or not isinstance(entry, (int, np.integer, slice)):
+            raise ValueError(f"take_slice takes ints and slices, got {entry!r}")
 
     def bw(g):
         buf = np.zeros(a.values.shape, dtype=a.values.dtype)
@@ -703,21 +710,24 @@ class AdamState:
 def adam_step(params: list[DiffTensor], state: AdamState) -> None:
     """One bias-corrected Adam update; gradients are cleared afterward.
 
-    A missing or non-finite gradient, or a learning rate that is not finite
-    and positive, raises before any value, moment or the step count changes.
+    A missing or non-finite gradient, a learning rate that is not finite and
+    positive, or moments that do not match the parameters in number or
+    shape, raises before any value, moment or the step count changes.
     ``state.lr`` is checked here because callers assign it between steps.
     """
     _require_rate(state.lr, "lr")
-    for p in params:
+    first = state.first_moment or [np.zeros_like(p.values) for p in params]
+    second = state.second_moment or [np.zeros_like(p.values) for p in params]
+    if len(first) != len(params):
+        raise ValueError("optimizer state does not match parameter list")
+    for p, m, v in zip(params, first, second):
         if p.grad is None:
             raise ValueError(f"missing gradient for parameter {p.name!r}")
         if not np.isfinite(p.grad).all():
             raise NumericError(f"non-finite gradient for parameter {p.name!r}")
-    if not state.first_moment:
-        state.first_moment = [np.zeros_like(p.values) for p in params]
-        state.second_moment = [np.zeros_like(p.values) for p in params]
-    if len(state.first_moment) != len(params):
-        raise ValueError("optimizer state does not match parameter list")
+        if m.shape != p.values.shape or v.shape != p.values.shape:
+            raise ValueError(f"moments do not match the shape {p.values.shape} of parameter {p.name!r}")
+    state.first_moment, state.second_moment = first, second
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t

@@ -57,6 +57,13 @@ def _require_finite(data: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite values")
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class ComplexCsiTensor:
     """Complex CFR samples, row-major over (rx, tx, subcarrier, packet).
@@ -75,6 +82,7 @@ class ComplexCsiTensor:
 
     def __post_init__(self) -> None:
         for name in ("n_rx", "n_tx", "n_sub", "n_pkt"):
+            setattr(self, name, _integer(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.data = np.asarray(self.data)
@@ -102,6 +110,7 @@ class FeatureSequence:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        self.n_pkt, self.n_feat = _integer(self.n_pkt, "n_pkt"), _integer(self.n_feat, "n_feat")
         if self.n_pkt < 1 or self.n_feat < 1:
             raise ValueError("n_pkt and n_feat must be >= 1")
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -128,10 +137,7 @@ class SampleRecord:
     dims: tuple[int, int, int, int] | None = None
 
     def __post_init__(self) -> None:
-        try:
-            self.subject_id = operator.index(self.subject_id)
-        except TypeError:
-            raise ValueError(f"subject_id must be an integer, got {self.subject_id!r}") from None
+        self.subject_id = _integer(self.subject_id, "subject_id")
         if self.subject_id < 0:
             raise ValueError("subject_id must be >= 0")
         if self.subject_id >= 2**32:
@@ -162,7 +168,6 @@ class SampleRecord:
             rx, tx, sub, pkt = self.dims
             if rx * tx * sub != self.payload.n_feat or pkt != self.payload.n_pkt:
                 raise ValueError("dims inconsistent with feature payload")
-        self.dims = tuple(int(d) for d in self.dims)
 
 
 @dataclass(frozen=True)
@@ -259,30 +264,44 @@ def write_sample(record: SampleRecord, path: str | Path) -> None:
 def read_sample(path: str | Path) -> SampleRecord:
     """Read a CSB file back into a SampleRecord, validating the header.
 
-    A payload holding NaN or inf is a format error.
+    An unknown kind or scenario, a zero dim and a NaN or inf value are format errors.
     """
     reader = BinaryReader(path, CsbFormatError)
     magic, kind_b, scen_b, subject, rx, tx, sub, pkt = reader.unpack(_HEADER, "header")
     if magic != CSB_MAGIC:
         raise CsbFormatError(f"{path}: bad magic {magic!r}")
     try:
-        kind = PayloadKind(kind_b)
-        scenario = Scenario(scen_b)
-    except ValueError as exc:
-        raise CsbFormatError(f"{path}: {exc}") from exc
-    is_complex = kind == PayloadKind.COMPLEX
-    values = reader.array("<c8" if is_complex else "<f4", rx * tx * sub * pkt, "payload")
-    reader.finish()
-    try:
+        kind, scenario = PayloadKind(kind_b), Scenario(scen_b)
+        is_complex = kind == PayloadKind.COMPLEX
+        values = reader.array("<c8" if is_complex else "<f4", rx * tx * sub * pkt, "payload")
+        reader.finish()
         if is_complex:
             payload: ComplexCsiTensor | FeatureSequence = ComplexCsiTensor(
                 rx, tx, sub, pkt, values.reshape(rx, tx, sub, pkt)
             )
         else:
             payload = FeatureSequence(pkt, rx * tx * sub, values.reshape(pkt, rx * tx * sub))
-    except ValueError as exc:  # the payload constructors reject zero dims and non-finite values
+    except ValueError as exc:
         raise CsbFormatError(f"{path}: {exc}") from exc
     return SampleRecord(subject, scenario, payload, kind, dims=(rx, tx, sub, pkt))
+
+
+def _entry_fault(e: ManifestEntry, seen: set[str]) -> str | None:
+    """The first per-entry rule of save_manifest and load_manifest that ``e``
+    breaks after the paths in ``seen``, or None; its path joins ``seen``."""
+    if not e.path or "\0" in e.path:
+        return f"{'NUL in' if e.path else 'empty'} path"
+    if "\r" in e.path or "\n" in e.path:
+        return "line break in path"
+    if e.path in seen:
+        return f"duplicate path {e.path!r}"
+    seen.add(e.path)
+    integer = isinstance(e.subject_id, (int, np.integer)) and not isinstance(e.subject_id, bool)
+    if not (integer and 0 <= e.subject_id < 2**32):  # a CSB header's u32
+        return "bad subject_id"
+    if not isinstance(e.scenario, Scenario):
+        return f"unknown scenario {e.scenario!r}"
+    return None if e.split in SPLITS else f"unknown split {e.split!r}"
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -315,36 +334,30 @@ def load_manifest(path: str | Path) -> Manifest:
             if len(fields) > width:
                 raise CsbFormatError(f"{path}:{i}: extra fields {fields[width:]!r}")
             rel, text, scen_raw, split = fields + [None] * (width - len(fields))
-            if not rel or "\0" in rel:
-                raise CsbFormatError(f"{path}:{i}: {'NUL in' if rel else 'empty'} path")
-            if "\r" in rel or "\n" in rel:
-                raise CsbFormatError(f"{path}:{i}: line break in path")
-            if rel in seen:
-                raise CsbFormatError(f"{path}:{i}: duplicate path {rel!r}")
-            seen.add(rel)
             # ASCII digits only: int() also takes signs, spaces, underscores
-            # and non-ASCII digits; a CSB header holds at most 2**32 - 1
+            # and non-ASCII digits
             text = text or ""
             digits = text.isascii() and text.isdigit() and len(text.lstrip("0")) <= 10
-            if not digits or int(text) >= 2**32:
-                raise CsbFormatError(f"{path}:{i}: bad subject_id")
-            subject = int(text)
-            scen_name = (scen_raw or "").upper()
-            if scen_name not in Scenario.__members__:
-                raise CsbFormatError(f"{path}:{i}: unknown scenario {scen_raw!r}")
-            if split not in SPLITS:
-                raise CsbFormatError(f"{path}:{i}: unknown split {split!r}")
-            entries.append(ManifestEntry(rel, subject, Scenario[scen_name], split))
+            scenario = Scenario.__members__.get((scen_raw or "").upper(), scen_raw)
+            entry = ManifestEntry(rel, int(text) if digits else None, scenario, split)
+            if fault := _entry_fault(entry, seen):
+                raise CsbFormatError(f"{path}:{i}: {fault}")
+            entries.append(entry)
     except csv.Error as exc:  # a field over csv.field_size_limit()
         raise CsbFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return Manifest(entries)
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Write a manifest CSV (UTF-8, LF line endings)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        for e in manifest.entries:
-            writer.writerow([e.path, e.subject_id, e.scenario.name.lower(), e.split])
+    """Write a manifest CSV (UTF-8, LF line endings) with :func:`write_file`.
+    Before anything is written, an entry that load_manifest would reject raises
+    ValueError naming its index, and a path UTF-8 cannot encode UnicodeEncodeError."""
+    seen: set[str] = set()
+    for k, e in enumerate(manifest.entries):
+        if fault := _entry_fault(e, seen):
+            raise ValueError(f"manifest entry {k}: {fault}")
+    rows = [[e.path, e.subject_id, e.scenario.name.lower(), e.split] for e in manifest.entries]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([MANIFEST_COLUMNS, *rows])
+    write_file(path, text.getvalue().encode("utf-8"))
 

@@ -2,11 +2,13 @@
 
 A :class:`SignatureModel` maps a rank-3 (B, P, F) batch of (packet,
 feature) sequences to unit-norm signatures whose dot products are cosine
-similarities. Its encoder is interchangeable: a stacked LSTM run forward
-only (``"lstm"``) or forward and backward (``"bilstm"``), each layer a
-single ``ad.lstm_sequence`` graph node, or a post-norm Transformer, whose
-attention is one ``ad.self_attention`` node and whose residual sums and
-layer norms are ``ad.residual_layer_norm`` nodes. A linear head plus l2
+similarities; :meth:`SignatureModel.signatures`, its one checked entry,
+rejects a batch of the wrong rank or width before any op runs. Its encoder
+is interchangeable: a stacked LSTM run forward only (``"lstm"``) or forward
+and backward (``"bilstm"``), each layer a single ``ad.lstm_sequence`` graph
+node, or a post-norm Transformer, whose attention is one
+``ad.self_attention`` node and whose residual sums and layer norms are
+``ad.residual_layer_norm`` nodes. A linear head plus l2
 normalization follows. Every parameter lives in one flat dict keyed by its
 checkpoint name, and the forward pass reads it by key.
 
@@ -107,11 +109,6 @@ def signature_tensor(h: ad.DiffTensor, params: dict) -> ad.DiffTensor:
 # -------------------------------------------------------------------- model
 
 
-def _require_batch(x) -> None:
-    if not (isinstance(x, ad.DiffTensor) and x.values.ndim == 3):
-        raise ValueError("input must be a rank-3 (B, P, F) DiffTensor")
-
-
 def _lstm_cells(arch: str, layer: int) -> list[str]:
     """Key prefix of each direction's cell in one (Bi-)LSTM layer."""
     if arch == "bilstm":
@@ -189,16 +186,18 @@ class SignatureModel:
         return {key: ad.constant(t.values, key) for key, t in self.named.items()}
 
     def signatures(self, x, training: bool = False, rng=None) -> ad.DiffTensor:
-        """(B, s) unit-norm float64 signatures for a (B, P, F) batch; the
-        encoder runs in float32."""
-        _require_batch(x)
+        """(B, s) unit-norm float64 signatures for a (B, P, n_feat) batch, the
+        encoder run in float32. The model's one checked entry (``_encode`` trusts
+        it): other input raises ValueError naming ``n_feat`` and what it got."""
+        got = x.values.shape if isinstance(x, ad.DiffTensor) else type(x).__name__
+        if not (isinstance(got, tuple) and len(got) == 3 and got[2] == self.n_feat):
+            raise ValueError(f"input must be a rank-3 (B, P, {self.n_feat}) DiffTensor, got {got}")
         params = self._read(training)
         enc = {key: ad.cast(t, np.float32) for key, t in params.items() if not key.startswith("head.")}
         h = self._encode(enc, ad.cast(x, np.float32), training, rng)
         return signature_tensor(ad.cast(h, np.float64), params)
 
     def _encode(self, params: dict, x, training: bool, rng) -> ad.DiffTensor:
-        _require_batch(x)
         cfg, h = self.cfg, x
         keep = 1.0 - cfg.dropout_pd
         if cfg.arch == "transformer":

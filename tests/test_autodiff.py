@@ -1,6 +1,7 @@
 """Gradient-checker, optimizer, schedule, and checkpoint tests."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,19 @@ def test_grad_slice_with_int_index():
     x = ad.parameter(rand((4, 6), 23))
     err = check_unary(lambda t: ad.take_slice(t, (2, slice(None))), x)
     assert err < TOL
+    assert check_unary(lambda t: ad.take_slice(t, np.int64(-1)), x) < TOL
+
+
+@pytest.mark.parametrize(
+    "index", [([0, 0, 1],), (np.array([0, 0, 1]),), [0, 0, 1], (True,), (Ellipsis, 1), (None,), 1.0],
+    ids=["list", "array", "bare-list", "bool", "ellipsis", "newaxis", "float"],
+)
+def test_slice_rejects_entries_other_than_ints_and_slices(index):
+    # a repeated position once got one of its gradients, not their sum:
+    # ([0, 0, 1],) under a mean loss gave [1/3, 1/3, 0, 0], not [2/3, 1/3, 0, 0]
+    x = ad.parameter(np.arange(4.0))
+    with pytest.raises(ValueError, match="take_slice takes ints and slices, got"):
+        ad.take_slice(x, index)
 
 
 def test_grad_transpose():
@@ -495,6 +509,21 @@ def test_tensor_keeps_float32_and_float64_and_widens_the_rest():
         assert ad.constant(values).values.dtype == np.float64
 
 
+@pytest.mark.parametrize(
+    "values, dtype",
+    [(np.array([[1 + 2j]]), "complex128"), (np.zeros(2, dtype=np.complex64), "complex64"),
+     (np.array(["1.0"]), "<U3"), (np.array([None]), "object"),
+     (np.array([1], dtype="m8[s]"), "timedelta64")],
+    ids=["complex128", "complex64", "str", "object", "timedelta"],
+)
+def test_tensor_rejects_values_that_are_not_real_numbers(values, dtype):
+    # a complex constant once silently kept only its real part
+    with pytest.raises(ValueError, match=rf"must be real numbers, got dtype {re.escape(dtype)}"):
+        ad.constant(values)
+    with pytest.raises(ValueError, match="must be real numbers"):
+        ad.parameter(values)
+
+
 # Each case maps float leaves to one output: every op the encoders use, with
 # the shapes it needs. Run on float32 leaves, it must stay float32 in its
 # values and in every gradient it hands back.
@@ -670,6 +699,25 @@ def test_adam_rejects_nonfinite_gradient():
     assert_rejected(np.nan)
     assert_rejected(np.inf)
     assert state.step_count == 1
+
+
+def test_adam_rejects_moments_of_another_shape_before_any_change():
+    # a list of the right length whose parameter is (1,) against a (3,)
+    # moment once moved step_count and the first moment before numpy raised
+    state = ad.AdamState(lr=1e-3)
+    p = ad.parameter(np.zeros(3), "w")
+    p.grad = np.ones(3)
+    ad.adam_step([p], state)
+    moments = [m.copy() for m in state.first_moment + state.second_moment]
+    q = ad.parameter(np.zeros(1), "narrow")
+    q.grad = np.ones(1)
+    with pytest.raises(ValueError, match=r"^moments do not match the shape \(1,\) of parameter 'narrow'$"):
+        ad.adam_step([q], state)
+    assert state.step_count == 1
+    for a, b in zip(state.first_moment + state.second_moment, moments):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(q.values, np.zeros(1))
+    np.testing.assert_array_equal(q.grad, np.ones(1))
 
 
 def test_adam_matches_reference_trace():

@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from tools.bench_pairs import end_to_end_directions, run_once, stages, summarize
+from tools.bench_pairs import end_to_end_directions, environment, run_once, stages, summarize
 
 
 def verdict(correct=True, **values):
@@ -108,3 +108,27 @@ def test_run_returns_the_last_line_verdict(tmp_path):
     assert out["metrics"]["argv"]["value"] == [
         "--workload", "identify", "--seed", "5", "--seconds", "2.0", "--trace", "1",
     ]
+    assert out["environment"] is None  # the stub printed no environment line
+
+
+def test_run_keeps_the_environment_line(tmp_path):
+    checkout = stub_checkout(tmp_path, """
+        import json
+        print('environment {"nproc": 2, "numpy": "2.4.6", "commit": "abc"}')
+        print("warm-up discarded: 3 ops, 0.100 s")
+        print(json.dumps({"correct": True, "metrics": {}}))
+    """)
+    out = run_once(checkout, "ingest", 1, 1.0)
+    assert out["environment"] == {"nproc": 2, "numpy": "2.4.6", "commit": "abc"}
+
+
+def test_environment_is_the_first_runs_and_needs_one_commit():
+    env = {"nproc": 2, "commit": "abc"}
+    runs = [{**verdict(), "environment": env}, {**verdict(), "environment": {"nproc": 4, "commit": "abc"}}]
+    assert environment(runs, "parent") == env
+    runs.append({**verdict(), "environment": {"nproc": 2, "commit": "def"}})
+    with pytest.raises(RuntimeError, match=r"change runs disagree on commit: \['abc', 'def'\]"):
+        environment(runs, "change")
+    # a run that printed no environment disagrees with one that did
+    with pytest.raises(RuntimeError, match=r"disagree on commit: \['None', 'abc'\]"):
+        environment([runs[0], {**verdict(), "environment": None}], "parent")

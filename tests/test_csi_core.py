@@ -1,5 +1,6 @@
 """Container format and manifest round-trip tests."""
 
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
@@ -17,6 +18,7 @@ from csireid.csi_core import (
     Manifest,
     ManifestEntry,
     PayloadKind,
+    SPLITS,
     SampleRecord,
     Scenario,
     load_manifest,
@@ -377,6 +379,58 @@ def test_manifest_line_break_in_path_rejected(tmp_path, newline):
         load_manifest(path)
 
 
+GOOD_ENTRY = ManifestEntry("a.csb", 0, Scenario.TSHIRT, "train")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (ManifestEntry("", 1, Scenario.COAT, "test"), "empty path"),
+        (ManifestEntry("b\0.csb", 1, Scenario.COAT, "test"), "NUL in path"),
+        (ManifestEntry("b\nc.csb", 1, Scenario.COAT, "test"), "line break in path"),
+        (ManifestEntry("b\rc.csb", 1, Scenario.COAT, "test"), "line break in path"),
+        (ManifestEntry("a.csb", 1, Scenario.COAT, "test"), "duplicate path 'a.csb'"),
+        (ManifestEntry("b.csb", -1, Scenario.COAT, "test"), "bad subject_id"),
+        (ManifestEntry("b.csb", 2**32, Scenario.COAT, "test"), "bad subject_id"),
+        (ManifestEntry("b.csb", 1.0, Scenario.COAT, "test"), "bad subject_id"),
+        (ManifestEntry("b.csb", True, Scenario.COAT, "test"), "bad subject_id"),
+        (ManifestEntry("b.csb", 1, 1, "test"), "unknown scenario 1"),
+        (ManifestEntry("b.csb", 1, Scenario.COAT, "val"), "unknown split 'val'"),
+    ],
+    ids=["empty", "nul", "lf", "cr", "duplicate", "negative-subject", "subject-over-u32",
+         "float-subject", "bool-subject", "int-scenario", "unknown-split"],
+)
+def test_save_manifest_rejects_what_load_manifest_rejects(tmp_path, bad, message):
+    # each of these was once written, and load_manifest then refused the file
+    path = tmp_path / "manifest.csv"
+    with pytest.raises(ValueError, match=rf"^manifest entry 1: {message}$"):
+        save_manifest(Manifest([GOOD_ENTRY, bad]), path)
+    assert list(tmp_path.iterdir()) == []  # raised before the file was opened
+
+
+def test_save_manifest_unencodable_path_writes_nothing(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        save_manifest(Manifest([ManifestEntry("\ud800.csb", 0, Scenario.COAT, "test")]), tmp_path / "m.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@given(st.lists(st.builds(
+    ManifestEntry,
+    st.text(max_size=6),
+    st.one_of(st.integers(-2, 2**32 + 1), st.sampled_from([2**32 - 1, 1.0, True])),
+    st.sampled_from([*Scenario, 0]),
+    st.sampled_from([*SPLITS, "val", ""]),
+), max_size=5))
+def test_manifest_save_accepts_only_what_load_reads_back_equal(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/manifest.csv"
+        try:
+            save_manifest(Manifest(entries), path)
+        except ValueError:  # UnicodeEncodeError included
+            return
+        assert load_manifest(path).entries == entries
+
+
 def flatten_features(values):
     """A capture's (rx, tx, sub, pkt) non-negative values as amplitude
     flattens them, each magnitude being the value itself."""
@@ -466,6 +520,31 @@ def test_sample_record_subject_id_must_be_integer(tmp_path):
             SampleRecord(bad, Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE)
     write_sample(SampleRecord(np.int64(7), Scenario.TSHIRT, seq, PayloadKind.AMPLITUDE), tmp_path / "a.csb")
     assert read_sample(tmp_path / "a.csb").subject_id == 7
+
+
+def test_complex_tensor_counts_must_be_integers():
+    # a float count was accepted, and amplitude_from_complex then raised a
+    # bare TypeError; a numpy integer becomes a Python int
+    data = np.ones((1, 1, 4, 8), dtype=np.complex64)
+    with pytest.raises(ValueError, match=r"^n_rx must be an integer, got 1\.0$"):
+        ComplexCsiTensor(1.0, 1, 4, 8, data)
+    with pytest.raises(ValueError, match="n_pkt must be >= 1"):
+        ComplexCsiTensor(1, 1, 4, 0, data[..., :0])
+    tensor = ComplexCsiTensor(np.int64(1), 1, np.int32(4), 8, data)
+    assert tensor.n_feat == 4 and type(tensor.n_feat) is int and type(tensor.n_rx) is int
+
+
+def test_feature_sequence_counts_must_be_integers():
+    # a float count was accepted, and hampel_filter then raised a bare TypeError
+    data = np.ones((8, 4))
+    with pytest.raises(ValueError, match=r"^n_pkt must be an integer, got 8\.0$"):
+        FeatureSequence(8.0, 4, data)
+    with pytest.raises(ValueError, match=r"^n_feat must be an integer, got '4'$"):
+        FeatureSequence(8, "4", data)
+    with pytest.raises(ValueError, match="n_pkt and n_feat must be >= 1"):
+        FeatureSequence(8, 0, data[:, :0])
+    seq = FeatureSequence(np.int64(8), np.uint8(4), data)
+    assert (type(seq.n_pkt), type(seq.n_feat)) == (int, int)
 
 
 def test_record_feature_dims_accepted():

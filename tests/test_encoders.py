@@ -474,14 +474,20 @@ def test_transformer_two_layer_train_mode_runs():
 
 @pytest.mark.parametrize("arch", ARCHES)
 def test_encoders_reject_non_batch_input(arch):
+    # signatures is the one checked entry; a wrong width once failed deep in
+    # an op, blaming w_x (LSTMs) or in numpy's matmul (Transformer)
     model = build_model(tiny_cfg(arch), n_feat=5, seed=0)
     seq = rand_seq()
-    for x in (seq, ad.constant(seq.data), ad.constant(seq.data[None, None])):
+    cases = [
+        (seq, r"got FeatureSequence$"),
+        (ad.constant(seq.data), r"got \(4, 5\)$"),
+        (ad.constant(seq.data[None, None]), r"got \(1, 1, 4, 5\)$"),
+        (ad.constant(rand_seq(f=6).data[None]), r"got \(1, 4, 6\)$"),
+    ]
+    for x, got in cases:
         for training in (False, True):
-            with pytest.raises(ValueError, match="rank-3"):
-                encode(model, x, training=training)
-            with pytest.raises(ValueError, match="rank-3"):
-                model.signatures(x, training=training)
+            with pytest.raises(ValueError, match=r"^input must be a rank-3 \(B, P, 5\) DiffTensor, " + got):
+                model.signatures(x, training=training, rng=np.random.default_rng(0))
 
 
 # ----------------------------------------------------------- signature head

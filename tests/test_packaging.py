@@ -119,17 +119,22 @@ def _last_name(node) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def test_public_names_have_a_non_test_caller():
-    # a public function or class that only tests call belongs in the tests
-    src = ROOT / "src" / "csireid"
+def uncalled_public_names(src: Path, bench: Path) -> list[str]:
+    """``module.name`` of each public function or class in the package ``src``
+    that neither another package module nor the benchmark ``bench`` uses.
+
+    The package's ``__init__.py`` is no caller: a re-export there would
+    count as a use of every name it imports.
+    """
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in [
-        *sorted(src.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]}
+        *sorted(src.glob("*.py")), *sorted(bench.glob("*.py"))]}
     public = {
         (p.stem, node.name)
         for p, tree in trees.items() if p.parent == src
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
+    trees.pop(src / "__init__.py", None)
     used = set()
     aliases: dict[str, set[str]] = {}  # a local name -> the package modules it stands for
     for p, tree in trees.items():
@@ -159,7 +164,28 @@ def test_public_names_have_a_non_test_caller():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 used |= {(module, node.attr) for module in aliases.get(_last_name(node.value), ())}
-    assert sorted(f"{m}.{n}" for m, n in public - used) == []
+    return sorted(f"{m}.{n}" for m, n in public - used)
+
+
+def test_public_names_have_a_non_test_caller():
+    # a public function or class that only tests call belongs in the tests
+    assert uncalled_public_names(ROOT / "src" / "csireid", ROOT / "perfbench") == []
+
+
+def test_package_init_is_no_caller(tmp_path):
+    src, bench = tmp_path / "csireid", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from csireid.core import Kept, Dropped\n")
+    (src / "core.py").write_text("class Kept: ...\n\nclass Dropped: ...\n")
+    (bench / "run.py").write_text("from csireid.core import Kept\n")
+    assert uncalled_public_names(src, bench) == ["core.Dropped"]
+
+
+def test_package_init_imports_nothing():
+    # no second entry point: every caller imports a name from its module
+    tree = ast.parse((ROOT / "src" / "csireid" / "__init__.py").read_text(encoding="utf-8"))
+    assert [type(node).__name__ for node in tree.body] == ["Expr"]  # the docstring
 
 
 FAILING_HYPOTHESIS_FILE = """

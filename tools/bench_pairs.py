@@ -17,9 +17,10 @@ The output is the measured part of a ``BENCH_<pr>.json`` file. Per side:
 the ``stages`` block, each stage's self seconds per operation as the
 median over the traced runs, with ``traced_steps`` (operations counted
 per traced run) and ``trace_op_p50_ms``; then each end-to-end metric's
-median, its per-run list in pair order and its quartiles. Per metric, the
-number of pairs the change won, by the direction ``BENCHMARK.json``
-declares; a tie counts for neither side.
+median, its per-run list in pair order and its quartiles, and the
+``environment`` its runs printed (machine, libraries and commit). Per
+metric, the number of pairs the change won, by the direction
+``BENCHMARK.json`` declares; a tie counts for neither side.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+ENVIRONMENT_PREFIX = "environment "  # the line perfbench/run.py prints before its verdict
 STDERR_TAIL_LINES = 20
 TRACED_RUNS = 3
 # per workload: the span called once per operation (timed, or a set-up
@@ -64,8 +66,10 @@ def end_to_end_directions() -> dict[str, str]:
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One run; its last stdout line is the benchmark's JSON verdict.
 
-    A run whose last line is not a verdict raises RuntimeError naming the
-    checkout, the seed and the end of the run's stderr.
+    The verdict gains an ``environment`` key: the JSON of the run's last
+    ``environment {...}`` line, or None if it printed none. A run whose last
+    line is not a verdict raises RuntimeError naming the checkout, the seed
+    and the end of the run's stderr.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -81,7 +85,18 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
             f"{checkout}: seed {seed}: no JSON verdict on the last line of {' '.join(cmd)} "
             f"(exit {out.returncode}); stderr ends:\n{tail}"
         )
+    env = [line[len(ENVIRONMENT_PREFIX):] for line in lines if line.startswith(ENVIRONMENT_PREFIX)]
+    verdict["environment"] = json.loads(env[-1]) if env else None
     return verdict
+
+
+def environment(runs: list[dict], side: str) -> dict | None:
+    """The environment of one side's runs, the first run's; RuntimeError if
+    the runs name more than one commit."""
+    commits = {(run["environment"] or {}).get("commit") for run in runs}
+    if len(commits) > 1:
+        raise RuntimeError(f"{side} runs disagree on commit: {sorted(map(str, commits))}")
+    return runs[0]["environment"]
 
 
 def stages(traced: list[dict], workload: str) -> dict:
@@ -173,7 +188,8 @@ def main(argv=None) -> int:
     )
     summary = {"workload": args.workload, "method": method, **summarize(pairs, end_to_end_directions())}
     for side in SIDES:
-        summary[side] = {**stages(traced[side], args.workload), **summary[side]}
+        env = environment([p[side] for p in pairs] + traced[side], side)
+        summary[side] = {"environment": env, **stages(traced[side], args.workload), **summary[side]}
     text = json.dumps(summary, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
